@@ -2,7 +2,7 @@
 
 Prints ONE JSON line:
   {"metric": ..., "value": total_sec, "unit": "sec",
-   "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
+   "queries": {name: sec, ...}, "sf": ..., "host_cores": H, "ray_cpus": N,
    "throughput": {name: rows_per_sec, ...}}
 
 ``--scaling`` runs the headline digest job at five parallelism levels
@@ -29,8 +29,14 @@ def _sf_dir() -> str:
     return os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 
 
+def _host_cores() -> int:
+    """Cores this process may run on (its CPU affinity set)."""
+    return len(os.sched_getaffinity(0))
+
+
 def _num_cpus() -> int:
-    return int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    """Logical CPUs to give Ray: ``RAY_GRAFT_CPUS``, else the host cores."""
+    return int(os.environ.get("RAY_GRAFT_CPUS", _host_cores()))
 
 
 # ------------------------------------------------------------------ #
@@ -489,7 +495,8 @@ def run_benchmarks(num_cpus: int, sf_dir: str, only=None) -> dict:
         "throughput": throughput,
         "load_avg": load_avg,
         "sf": sf_dir,
-        "num_cpus": num_cpus,
+        "host_cores": _host_cores(),
+        "ray_cpus": num_cpus,
     }
     if EXTRA_METRICS:
         result["extra"] = dict(EXTRA_METRICS)
@@ -573,7 +580,8 @@ def run_scaling() -> dict:
         "unit": "efficiency",
         "queries": queries,
         "sf": _sf_dir(),
-        "num_cpus": 32,
+        "host_cores": _host_cores(),
+        "ray_cpus": sorted(set(order)),
     }
 
 
@@ -613,7 +621,8 @@ def run_scaling_worker() -> dict:
         assert 940.0 < res["p95"] < 960.0, res
     ray.shutdown()
     return {"rows_per_sec": round(SCALING_ROWS / best, 1),
-            "sec": round(best, 3), "num_cpus": cpus}
+            "sec": round(best, 3), "host_cores": _host_cores(),
+            "ray_cpus": cpus}
 
 
 def main():

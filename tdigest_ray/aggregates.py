@@ -23,7 +23,7 @@ reporting no single target column.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -94,379 +94,279 @@ def _combine_bytes(cur: bytes, new: bytes) -> bytes:
     return _pack_state(d, False)
 
 
-def _final_digest(blob: Optional[bytes]) -> Optional[TDigest]:
+def _final_digest(blob: bytes) -> TDigest:
     """Accumulator state -> digest ready for finalization (compacts lazy
     states, mirroring the reference finalizers' tdigest_compact call)."""
-    if blob is None:
-        return None
     d = _unpack_state(blob)
     d.compress()
     return d
 
 
-def _final_wire(blob: Optional[bytes]) -> Optional[bytes]:
-    """Accumulator state -> pure wire format for storage."""
-    d = _final_digest(blob)
-    return None if d is None else serde.to_bytes(d)
+def _column(block: Block, col: str):
+    """One column of an Arrow or pandas block as an Arrow array."""
+    return BlockAccessor.for_block(block).to_arrow().column(col)
 
 
 def _column_values(block: Block, col: str) -> np.ndarray:
-    """Extract a column from an Arrow/pandas block as float64 with nulls
-    dropped (the reference skips NULL inputs in every transition fn,
-    tdigest.c:994-1005)."""
-    import pyarrow as pa
+    """Extract a column as float64 with nulls dropped (the reference skips
+    NULL inputs in every transition fn, tdigest.c:994-1005)."""
     import pyarrow.compute as pc
 
-    if isinstance(block, pa.Table):
-        arr = block.column(col)
-        if arr.null_count:
-            arr = pc.drop_null(arr)
-        return arr.to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-    # pandas fallback
-    vals = BlockAccessor.for_block(block).to_pandas()[col].dropna().to_numpy()
-    return vals.astype(np.float64, copy=False)
+    arr = _column(block, col)
+    if arr.null_count:
+        arr = pc.drop_null(arr)
+    return arr.to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
 
 
 def _column_pairs(block: Block, value_col: str, count_col: str):
     """(value, count) pairs with rows dropped when value is null; a null
     count means 1 (tdigest.c:1210-1215)."""
-    import pyarrow as pa
-
-    if isinstance(block, pa.Table):
-        values = block.column(value_col).to_numpy(zero_copy_only=False)
-        counts = block.column(count_col).to_numpy(zero_copy_only=False)
-    else:
-        df = BlockAccessor.for_block(block).to_pandas()
-        values = df[value_col].to_numpy()
-        counts = df[count_col].to_numpy()
-    values = np.asarray(values, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.float64)  # float to hold NaN
+    values = np.asarray(_column(block, value_col).to_numpy(
+        zero_copy_only=False), dtype=np.float64)
+    counts = np.asarray(_column(block, count_col).to_numpy(
+        zero_copy_only=False), dtype=np.float64)  # float to hold NaN
     keep = ~np.isnan(values)
     values, counts = values[keep], counts[keep]
     counts = np.where(np.isnan(counts), 1.0, counts).astype(np.int64)
     return values, counts
 
 
-class _TDigestAggBase(AggregateFnV2):
-    """Shared accumulate/combine for t-digest aggregates over raw values."""
+def _add_pairs(d: TDigest, values: np.ndarray, counts: np.ndarray) -> None:
+    """Per-value expansion with the same compaction boundaries as the
+    reference's one-at-a-time loop; huge counts take the tdigest_generate
+    fast path (tdigest.c:1230-1242)."""
+    big = counts > 10 * d.compression
+    if big.any():
+        for v, c in zip(values[big], counts[big]):
+            d.add(float(v), int(c))
+        values, counts = values[~big], counts[~big]
+    if len(values):
+        d.add_weighted(values, counts)
 
-    def __init__(self, on: str, compression: int, name: str):
-        self._compression = check_compression(compression)
-        super().__init__(
-            name,
-            zero_factory=lambda: None,
-            on=on,
-            ignore_nulls=True,
-        )
+
+def _pointwise(method: str, x):
+    """Finalizer evaluating ``quantile``/``cdf`` at one point or a list."""
+    scalar = np.isscalar(x)
+
+    def answer(d: TDigest):
+        out = getattr(d, method)(x)
+        return float(out) if scalar else list(out)
+
+    return answer
+
+
+class _TDigestAggregate(AggregateFnV2):
+    """The one t-digest aggregate: an input reader plus a finalizer.
+
+    Input: raw values of ``on`` (``compression`` given), ``<value,count>``
+    pairs (``count_on`` given too; README.md:168-189) or stored wire-format
+    digests (no ``compression``). The digest input follows
+    ``tdigest_add_digest`` (tdigest.c:1437-1518): every stored digest is
+    re-inserted into the state, which keeps the first-seen compression, so
+    digests with different compression values merge safely
+    (combine_crash.sql regression). ``answer`` maps the final digest to
+    the result; without it the digest itself is emitted as wire bytes.
+    """
+
+    def __init__(self, name: str, on: str, compression: Optional[int] = None,
+                 count_on: Optional[str] = None,
+                 answer: Optional[Callable[[TDigest], Any]] = None):
+        self._compression = (None if compression is None
+                             else check_compression(compression))
+        self._count_col = count_on
+        self._answer = answer
+        super().__init__(name, zero_factory=lambda: None, on=on,
+                         ignore_nulls=True)
+
+    def get_target_column(self) -> Optional[str]:
+        # pairs read two columns: report none so Ray keeps the whole block
+        # (the map-side partial aggregation still collapses each block to
+        # one digest before the shuffle)
+        return None if self._count_col else self._target_col_name
 
     def aggregate_block(self, block: Block) -> Optional[bytes]:
-        values = _column_values(block, self._target_col_name)
-        if len(values) == 0:
-            return None
-        d = TDigest(self._compression)
-        d.add_many(values)
+        col = self._target_col_name
+        if self._compression is None:
+            d = serde.merge_blobs(_column(block, col).to_pylist())
+            if d is not None:
+                d.ncompacted = 0  # all re-inserted: a lone one recompacts
+        elif self._count_col is None:
+            d = TDigest(self._compression)
+            d.add_many(_column_values(block, col))
+        else:
+            d = TDigest(self._compression)
+            _add_pairs(d, *_column_pairs(block, col, self._count_col))
         return _freeze_bytes(d)
 
     def combine(self, current: bytes, new: bytes) -> bytes:
         return _combine_bytes(current, new)
 
     def finalize(self, accumulator: bytes) -> Any:
-        raise NotImplementedError
+        d = _final_digest(accumulator)
+        return serde.to_bytes(d) if self._answer is None else self._answer(d)
 
 
-class TDigestAgg(_TDigestAggBase):
+class TDigestAgg(_TDigestAggregate):
     """``tdigest(value, compression)`` — materialize the digest itself as the
     binary wire format (row 5 of SURVEY.md §2.2; tdigest--1.0.0.sql:138-146)."""
 
     def __init__(self, on: str, compression: int = 100,
                  alias_name: Optional[str] = None):
-        super().__init__(on, compression, alias_name or f"tdigest({on})")
-
-    def finalize(self, accumulator: bytes) -> bytes:
-        return _final_wire(accumulator)
+        super().__init__(alias_name or f"tdigest({on})", on, compression)
 
 
-class TDigestPercentile(_TDigestAggBase):
+class TDigestPercentile(_TDigestAggregate):
     """``tdigest_percentile(value, compression, q | q[])`` (rows 1-2)."""
 
     def __init__(self, on: str, q, compression: int = 100,
                  alias_name: Optional[str] = None):
-        self._q = q
-        self._scalar = np.isscalar(q)
         check_percentiles(q)
-        super().__init__(on, compression,
-                         alias_name or f"tdigest_percentile({on})")
-
-    def finalize(self, accumulator: bytes):
-        out = _final_digest(accumulator).quantile(self._q)
-        return float(out) if self._scalar else list(out)
+        super().__init__(alias_name or f"tdigest_percentile({on})", on,
+                         compression, answer=_pointwise("quantile", q))
 
 
-class TDigestPercentileOf(_TDigestAggBase):
+class TDigestPercentileOf(_TDigestAggregate):
     """``tdigest_percentile_of(value, compression, x | x[])`` (rows 3-4)."""
 
     def __init__(self, on: str, value, compression: int = 100,
                  alias_name: Optional[str] = None):
-        self._value = value
-        self._scalar = np.isscalar(value)
-        super().__init__(on, compression,
-                         alias_name or f"tdigest_percentile_of({on})")
-
-    def finalize(self, accumulator: bytes):
-        out = _final_digest(accumulator).cdf(self._value)
-        return float(out) if self._scalar else list(out)
+        super().__init__(alias_name or f"tdigest_percentile_of({on})", on,
+                         compression, answer=_pointwise("cdf", value))
 
 
-class TDigestTrimmedSum(_TDigestAggBase):
+class TDigestTrimmedSum(_TDigestAggregate):
     """``tdigest_sum(value, compression, low, high)`` (row 14)."""
 
     def __init__(self, on: str, low: float, high: float, compression: int = 100,
                  alias_name: Optional[str] = None):
         check_trim_values(low, high)
-        self._low, self._high = low, high
-        super().__init__(on, compression, alias_name or f"tdigest_sum({on})")
-
-    def finalize(self, accumulator: bytes):
-        return _final_digest(accumulator).trimmed_sum(self._low, self._high)
+        super().__init__(alias_name or f"tdigest_sum({on})", on, compression,
+                         answer=lambda d: d.trimmed_sum(low, high))
 
 
-class TDigestTrimmedAvg(_TDigestAggBase):
+class TDigestTrimmedAvg(_TDigestAggregate):
     """``tdigest_avg(value, compression, low, high)`` (row 14)."""
 
     def __init__(self, on: str, low: float, high: float, compression: int = 100,
                  alias_name: Optional[str] = None):
         check_trim_values(low, high)
-        self._low, self._high = low, high
-        super().__init__(on, compression, alias_name or f"tdigest_avg({on})")
-
-    def finalize(self, accumulator: bytes):
-        return _final_digest(accumulator).trimmed_avg(self._low, self._high)
+        super().__init__(alias_name or f"tdigest_avg({on})", on, compression,
+                         answer=lambda d: d.trimmed_avg(low, high))
 
 
 # --------------------------------------------------------------------- #
 # weighted <value,count> variants (rows 6-10; README.md:168-189)
 # --------------------------------------------------------------------- #
 
-class _TDigestWeightedBase(_TDigestAggBase):
-    """Aggregates over (value, count) column pairs.
-
-    Reports no target column so Ray keeps all columns for ``aggregate_block``
-    (the map-side partial aggregation still collapses each block to one
-    digest before the shuffle).
-    """
-
-    def __init__(self, on: str, count_on: str, compression: int, name: str):
-        self._value_col = on
-        self._count_col = count_on
-        super().__init__(on, compression, name)
-
-    def get_target_column(self) -> Optional[str]:
-        return None  # keep both columns in the block
-
-    def aggregate_block(self, block: Block) -> Optional[bytes]:
-        values, counts = _column_pairs(block, self._value_col, self._count_col)
-        if len(values) == 0:
-            return None
-        d = TDigest(self._compression)
-        # per-value expansion with the same compaction boundaries as the
-        # reference's one-at-a-time loop; huge counts take the
-        # tdigest_generate fast path (tdigest.c:1230-1242)
-        big = counts > 10 * self._compression
-        if big.any():
-            for v, c in zip(values[big], counts[big]):
-                d.add(float(v), int(c))
-            values, counts = values[~big], counts[~big]
-        if len(values):
-            d.add_weighted(values, counts)
-        return _freeze_bytes(d)
-
-
-class TDigestWeightedAgg(_TDigestWeightedBase):
+class TDigestWeightedAgg(_TDigestAggregate):
     """``tdigest(value, count, compression)`` (row 6)."""
 
     def __init__(self, on: str, count_on: str, compression: int = 100,
                  alias_name: Optional[str] = None):
-        super().__init__(on, count_on, compression,
-                         alias_name or f"tdigest({on},{count_on})")
-
-    def finalize(self, accumulator: bytes) -> bytes:
-        return _final_wire(accumulator)
+        super().__init__(alias_name or f"tdigest({on},{count_on})", on,
+                         compression, count_on)
 
 
-class TDigestWeightedPercentile(_TDigestWeightedBase):
+class TDigestWeightedPercentile(_TDigestAggregate):
     """``tdigest_percentile(value, count, compression, q | q[])`` (rows 7-8)."""
 
     def __init__(self, on: str, count_on: str, q, compression: int = 100,
                  alias_name: Optional[str] = None):
-        self._q = q
-        self._scalar = np.isscalar(q)
         check_percentiles(q)
-        super().__init__(on, count_on, compression,
-                         alias_name or f"tdigest_percentile({on},{count_on})")
-
-    def finalize(self, accumulator: bytes):
-        out = _final_digest(accumulator).quantile(self._q)
-        return float(out) if self._scalar else list(out)
+        super().__init__(
+            alias_name or f"tdigest_percentile({on},{count_on})", on,
+            compression, count_on, _pointwise("quantile", q))
 
 
-class TDigestWeightedPercentileOf(_TDigestWeightedBase):
+class TDigestWeightedPercentileOf(_TDigestAggregate):
     """``tdigest_percentile_of(value, count, compression, x | x[])``
     (rows 9-10)."""
 
     def __init__(self, on: str, count_on: str, value, compression: int = 100,
                  alias_name: Optional[str] = None):
-        self._value = value
-        self._scalar = np.isscalar(value)
         super().__init__(
-            on, count_on, compression,
-            alias_name or f"tdigest_percentile_of({on},{count_on})")
-
-    def finalize(self, accumulator: bytes):
-        out = _final_digest(accumulator).cdf(self._value)
-        return float(out) if self._scalar else list(out)
+            alias_name or f"tdigest_percentile_of({on},{count_on})", on,
+            compression, count_on, _pointwise("cdf", value))
 
 
-class TDigestWeightedTrimmedSum(_TDigestWeightedBase):
+class TDigestWeightedTrimmedSum(_TDigestAggregate):
     """``tdigest_sum(value, count, compression, low, high)`` (row 15)."""
 
     def __init__(self, on: str, count_on: str, low: float, high: float,
                  compression: int = 100, alias_name: Optional[str] = None):
         check_trim_values(low, high)
-        self._low, self._high = low, high
-        super().__init__(on, count_on, compression,
-                         alias_name or f"tdigest_sum({on},{count_on})")
-
-    def finalize(self, accumulator: bytes):
-        return _final_digest(accumulator).trimmed_sum(self._low, self._high)
+        super().__init__(alias_name or f"tdigest_sum({on},{count_on})", on,
+                         compression, count_on,
+                         lambda d: d.trimmed_sum(low, high))
 
 
-class TDigestWeightedTrimmedAvg(_TDigestWeightedBase):
+class TDigestWeightedTrimmedAvg(_TDigestAggregate):
     """``tdigest_avg(value, count, compression, low, high)`` (row 15)."""
 
     def __init__(self, on: str, count_on: str, low: float, high: float,
                  compression: int = 100, alias_name: Optional[str] = None):
         check_trim_values(low, high)
-        self._low, self._high = low, high
-        super().__init__(on, count_on, compression,
-                         alias_name or f"tdigest_avg({on},{count_on})")
-
-    def finalize(self, accumulator: bytes):
-        return _final_digest(accumulator).trimmed_avg(self._low, self._high)
+        super().__init__(alias_name or f"tdigest_avg({on},{count_on})", on,
+                         compression, count_on,
+                         lambda d: d.trimmed_avg(low, high))
 
 
 # --------------------------------------------------------------------- #
 # aggregates over stored digests (rows 11-13, 16) — the rollup primitive
 # --------------------------------------------------------------------- #
 
-class _TDigestMergeBase(AggregateFnV2):
-    """Aggregates whose input column holds binary digests (wire format).
-
-    ``tdigest_add_digest`` semantics (tdigest.c:1437-1518): each stored
-    digest's centroids are re-inserted into the state; the state keeps the
-    first-seen compression, so digests with different compression values
-    merge safely (combine_crash.sql regression).
-    """
-
-    def __init__(self, on: str, name: str):
-        super().__init__(name, zero_factory=lambda: None, on=on,
-                         ignore_nulls=True)
-
-    def aggregate_block(self, block: Block) -> Optional[bytes]:
-        import pyarrow as pa
-
-        if isinstance(block, pa.Table):
-            blobs = block.column(self._target_col_name).to_pylist()
-        else:
-            blobs = BlockAccessor.for_block(block).to_pandas()[
-                self._target_col_name
-            ].tolist()
-        state: Optional[TDigest] = None
-        for blob in blobs:
-            if blob is None:
-                continue
-            d = serde.from_bytes(bytes(blob))
-            if state is None:
-                state = TDigest(d.compression)
-            state.merge_digest(d)
-        return _freeze_bytes(state)
-
-    def combine(self, current: Optional[bytes], new: Optional[bytes]):
-        if current is None:
-            return new
-        if new is None:
-            return current
-        return _combine_bytes(current, new)
-
-
-class TDigestMergeAgg(_TDigestMergeBase):
+class TDigestMergeAgg(_TDigestAggregate):
     """``tdigest(tdigest)`` (row 11) — merge stored digests into one."""
 
     def __init__(self, on: str, alias_name: Optional[str] = None):
-        super().__init__(on, alias_name or f"tdigest({on})")
-
-    def finalize(self, accumulator: bytes):
-        return _final_wire(accumulator)
+        super().__init__(alias_name or f"tdigest({on})", on)
 
 
-class TDigestMergePercentile(_TDigestMergeBase):
+class TDigestMergePercentile(_TDigestAggregate):
     """``tdigest_percentile(tdigest, q | q[])`` (row 12)."""
 
     def __init__(self, on: str, q, alias_name: Optional[str] = None):
-        self._q = q
-        self._scalar = np.isscalar(q)
         check_percentiles(q)
-        super().__init__(on, alias_name or f"tdigest_percentile({on})")
-
-    def finalize(self, accumulator: bytes):
-        if accumulator is None:
-            return None
-        out = _final_digest(accumulator).quantile(self._q)
-        return float(out) if self._scalar else list(out)
+        super().__init__(alias_name or f"tdigest_percentile({on})", on,
+                         answer=_pointwise("quantile", q))
 
 
-class TDigestMergePercentileOf(_TDigestMergeBase):
+class TDigestMergePercentileOf(_TDigestAggregate):
     """``tdigest_percentile_of(tdigest, x | x[])`` (row 13)."""
 
     def __init__(self, on: str, value, alias_name: Optional[str] = None):
-        self._value = value
-        self._scalar = np.isscalar(value)
-        super().__init__(on, alias_name or f"tdigest_percentile_of({on})")
-
-    def finalize(self, accumulator: bytes):
-        if accumulator is None:
-            return None
-        out = _final_digest(accumulator).cdf(self._value)
-        return float(out) if self._scalar else list(out)
+        super().__init__(alias_name or f"tdigest_percentile_of({on})", on,
+                         answer=_pointwise("cdf", value))
 
 
-class TDigestMergeTrimmedSum(_TDigestMergeBase):
+class TDigestMergeTrimmedSum(_TDigestAggregate):
     """``tdigest_sum(tdigest, low, high)`` (row 16)."""
 
     def __init__(self, on: str, low: float, high: float,
                  alias_name: Optional[str] = None):
         check_trim_values(low, high)
-        self._low, self._high = low, high
-        super().__init__(on, alias_name or f"tdigest_sum({on})")
-
-    def finalize(self, accumulator: bytes):
-        if accumulator is None:
-            return None
-        return _final_digest(accumulator).trimmed_sum(self._low, self._high)
+        super().__init__(alias_name or f"tdigest_sum({on})", on,
+                         answer=lambda d: d.trimmed_sum(low, high))
 
 
-class TDigestMergeTrimmedAvg(_TDigestMergeBase):
+class TDigestMergeTrimmedAvg(_TDigestAggregate):
     """``tdigest_avg(tdigest, low, high)`` (row 16)."""
 
     def __init__(self, on: str, low: float, high: float,
                  alias_name: Optional[str] = None):
         check_trim_values(low, high)
-        self._low, self._high = low, high
-        super().__init__(on, alias_name or f"tdigest_avg({on})")
+        super().__init__(alias_name or f"tdigest_avg({on})", on,
+                         answer=lambda d: d.trimmed_avg(low, high))
 
-    def finalize(self, accumulator: bytes):
-        if accumulator is None:
-            return None
-        return _final_digest(accumulator).trimmed_avg(self._low, self._high)
+
+class TDigestCountAgg(_TDigestAggregate):
+    """Total item count across merged digests — exact by construction
+    (sum of centroid counts is preserved through every merge), which makes
+    it a strong end-to-end invariant for the distributed merge machinery."""
+
+    def __init__(self, on: str, alias_name: Optional[str] = None):
+        super().__init__(alias_name or f"tdigest_count({on})", on,
+                         answer=lambda d: d.count)
 
 
 # --------------------------------------------------------------------- #
@@ -624,17 +524,3 @@ class HeavyHittersAgg(AggregateFnV2):
         est = cm.query(arr)
         order = np.lexsort((arr.astype(str), -est))[: self._k]
         return [[str(arr[i]), int(est[i])] for i in order]
-
-
-class TDigestCountAgg(_TDigestMergeBase):
-    """Total item count across merged digests — exact by construction
-    (sum of centroid counts is preserved through every merge), which makes
-    it a strong end-to-end invariant for the distributed merge machinery."""
-
-    def __init__(self, on: str, alias_name: Optional[str] = None):
-        super().__init__(on, alias_name or f"tdigest_count({on})")
-
-    def finalize(self, accumulator: bytes):
-        if accumulator is None:
-            return None
-        return _final_digest(accumulator).count

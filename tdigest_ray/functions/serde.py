@@ -157,6 +157,27 @@ def from_bytes(b: bytes) -> TDigest:
     return TDigest.from_centroids(compression, eff_means, counts, count=count)
 
 
+def merge_blobs(blobs) -> TDigest | None:
+    """Merge an iterable of binary digests (``None`` entries skipped) into
+    one digest, or ``None`` when no digest is present. The result is not
+    given a final compaction; callers compact before storing it.
+
+    The first digest seeds the state as decoded, so it keeps its
+    compression (first-seen wins, tdigest.c:1504-1513) and a lone digest
+    comes back unchanged; every later digest is re-inserted through
+    :meth:`TDigest.merge_digest`. The inputs are streamed, never
+    concatenated, so memory stays bounded by the merge buffer."""
+    acc = None
+    for b in blobs:
+        if b is None:
+            continue
+        if acc is None:
+            acc = from_bytes(b)
+        else:
+            acc.merge_digest(from_bytes(b))
+    return acc
+
+
 def to_json(d: TDigest) -> str:
     """Reference JSON cast format, means formatted with C ``%g``."""
     means, counts = d.centroids()

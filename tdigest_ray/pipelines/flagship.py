@@ -25,7 +25,6 @@ import pyarrow as pa
 
 import ray
 
-from tdigest_ray.aggregates import TDigestMergeAgg
 from tdigest_ray.functions import serde
 from tdigest_ray.stages.features import add_features, extract_text
 
@@ -53,6 +52,42 @@ def prepare_features(ds, from_html: bool = False,
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _checked_features(schema, features) -> list:
+    """The requested features present in ``schema`` — all of them when the
+    schema is unknown (a dataset filtered to nothing). Refuses a request
+    that names no existing column."""
+    if schema is None:
+        return list(features)
+    present = [f for f in features if f in schema.names]
+    if not present:
+        raise ValueError(
+            f"none of the requested features {tuple(features)} exist in "
+            f"the dataset schema {tuple(schema.names)}")
+    return present
+
+
+def _empty_digests(schema, group_col: str, features) -> pa.Table:
+    """The 0-row grouped result: ``<group_col>`` (null-typed when the
+    schema is unknown) plus one binary ``<feature>_digest`` per feature."""
+    gtype = (pa.null() if schema is None
+             else schema.types[schema.names.index(group_col)])
+    cols = {group_col: pa.array([], gtype)}
+    cols.update({f"{f}_digest": pa.array([], pa.binary()) for f in features})
+    return pa.table(cols)
+
+
+def _grouped(ds, group_col, features, compression, nsalt):
+    """The one distributed grouped route (``nsalt=0``: unsalted)."""
+    from tdigest_ray.stages.partial import grouped_digests_fast
+
+    schema = ds.schema()
+    present = _checked_features(schema, features)
+    if schema is None:
+        return ray.data.from_arrow(_empty_digests(schema, group_col, present))
+    return grouped_digests_fast(ds, group_col, present, compression,
+                                nsalt=nsalt)
+
+
 def grouped_digests(ds, group_col: str = "lang",
                     features=DEFAULT_FEATURES, compression: int = 100):
     """One digest column per feature, grouped — `tdigest(v, c) GROUP BY lang`.
@@ -61,14 +96,7 @@ def grouped_digests(ds, group_col: str = "lang",
     groupby only ever sees #blocks x #keys partial digest rows, so CPU/row
     stays flat as blocks grow (Ray's built-in grouped aggregate walks block
     rows in Python to find group boundaries)."""
-    from tdigest_ray.stages.partial import grouped_digests_fast
-
-    present = [f for f in features if f in ds.schema().names]
-    if not present:
-        raise ValueError(
-            f"none of the requested features {tuple(features)} exist in "
-            f"the dataset schema {tuple(ds.schema().names)}")
-    return grouped_digests_fast(ds, group_col, present, compression)
+    return _grouped(ds, group_col, features, compression, 0)
 
 
 def grouped_digests_table(ds, group_col: str = "lang",
@@ -85,21 +113,20 @@ def grouped_digests_table(ds, group_col: str = "lang",
     CLI from ~8 s/file amortized to ~1 s/file. Use
     :func:`grouped_digests` for corpus-sized datasets, where the
     distributed merge is the right shape."""
-    import ray
-
     from tdigest_ray.stages.partial import (make_partial_digest_fn,
                                             merge_partial_digest_table)
 
-    present = [f for f in features if f in ds.schema().names]
-    if not present:
-        raise ValueError(
-            f"none of the requested features {tuple(features)} exist in "
-            f"the dataset schema {tuple(ds.schema().names)}")
-    partial = ds.map_batches(
-        make_partial_digest_fn([group_col], present, compression),
-        batch_format="pyarrow", batch_size=None)
-    tables = [ray.get(r) for r in partial.to_arrow_refs()]
-    tables = [t for t in tables if t.num_rows] or tables[:1]
+    schema = ds.schema()
+    present = _checked_features(schema, features)
+    tables = []
+    if schema is not None:
+        partial = ds.map_batches(
+            make_partial_digest_fn([group_col], present, compression),
+            batch_format="pyarrow", batch_size=None)
+        tables = [t for t in map(ray.get, partial.to_arrow_refs())
+                  if t.num_rows]
+    if not tables:
+        return _empty_digests(schema, group_col, present)
     tbl = pa.concat_tables(tables, promote_options="permissive")
     return merge_partial_digest_table(tbl, [group_col], present)
 
@@ -107,63 +134,11 @@ def grouped_digests_table(ds, group_col: str = "lang",
 def grouped_digests_salted(ds, group_col: str = "lang",
                            features=DEFAULT_FEATURES, compression: int = 100,
                            nsalt: int = 16):
-    """Two-level merge TREE over the partial-digest table.
-
-    Measured context (bench ``skewed_merge``, r3): this engine's
-    UNSALTED path is already skew-tolerant — Ray's grouped aggregate
-    combines block-locally before the shuffle, so a 90%-hot key merges
-    in the same wall time as a uniform spread (the hot key's row walk is
-    parallel across blocks; the reduce only sees #blocks x #keys
-    pre-combined states). Salting therefore does NOT beat the unsalted
-    path at bench scale — the extra groupby level costs more than it
-    saves — and :func:`grouped_digests` is the default for a reason.
-
-    This tree variant exists for the regime where the REDUCE-STATE count
-    itself explodes (10^6+ surviving partial states per key, e.g. an
-    un-coalesced 100 TB run): the per-(block x key) partial table gets
-    ``_salt = content_hash(digest bytes) % nsalt``, the first merge
-    level reduces (key, salt) — #states/nsalt per reducer, nsalt-way
-    parallel — and the second level merges the nkeys x nsalt survivors.
-    The salt is content-derived (a pure function of the partial's wire
-    bytes), so task retries and block re-splits land partials
-    deterministically; salted and unsalted results agree (count exact,
-    quantiles within digest error — pinned in tests)."""
-    from tdigest_ray.sketches.hashing import fast_hash64_utf8
-    from tdigest_ray.stages.partial import (
-        make_null_key_mask,
-        make_null_key_unmask,
-        make_partial_digest_fn,
-    )
-
-    present = [f for f in features if f in ds.schema().names]
-    if not present:
-        raise ValueError(
-            f"none of the requested features {tuple(features)} exist in "
-            f"the dataset schema {tuple(ds.schema().names)}")
-    first = f"{present[0]}_digest"
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        # content-derived salt straight from the binary column's Arrow
-        # buffers (nulls hash as empty) — no per-row Python objects
-        h = fast_hash64_utf8(batch.column(first))
-        salt = (h % np.uint64(nsalt)).astype(np.int32)
-        return batch.append_column("_salt", pa.array(salt))
-
-    partial = ds.map_batches(
-        make_partial_digest_fn([group_col], present, compression),
-        batch_format="pyarrow", batch_size=None,
-    ).map_batches(add_salt, batch_format="pyarrow")
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    partial = partial.repartition(min(cpus, 64))
-    # same null-string-key sentinel discipline as grouped_digests_fast:
-    # Ray's sort-shuffle sampling dies comparing None to str
-    partial = partial.map_batches(make_null_key_mask([group_col]),
-                                  batch_format="pyarrow")
-    aggs = [TDigestMergeAgg(f"{f}_digest", alias_name=f"{f}_digest")
-            for f in present]
-    fine = partial.groupby([group_col, "_salt"]).aggregate(*aggs)
-    return fine.groupby(group_col).aggregate(*aggs).map_batches(
-        make_null_key_unmask([group_col]), batch_format="pyarrow")
+    """:func:`grouped_digests` with the salted two-level merge tree
+    (``grouped_digests_fast(nsalt=...)``; see there for when it pays).
+    Salted and unsalted results agree: counts exact, quantiles within
+    digest error (pinned in tests)."""
+    return _grouped(ds, group_col, features, compression, nsalt)
 
 
 def finalize_quantiles(digest_table, features=DEFAULT_FEATURES,
@@ -211,12 +186,8 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
     if num_blocks:
         pages = pages.repartition(num_blocks)
     feats = prepare_features(pages, from_html=from_html)
-    features = [f for f in DEFAULT_FEATURES if f in feats.schema().names]
-    if salted:
-        digests = grouped_digests_salted(feats, compression=compression,
-                                         features=features, nsalt=nsalt)
-    else:
-        digests = grouped_digests(feats, compression=compression,
-                                  features=features)
+    features = _checked_features(feats.schema(), DEFAULT_FEATURES)
+    digests = _grouped(feats, "lang", features, compression,
+                       nsalt if salted else 0)
     return finalize_quantiles(digests, features=features,
                               percentiles=percentiles)

@@ -9,8 +9,8 @@ downstream ``groupby(key).aggregate(<merge agg>)`` only ever touches
 ``#blocks x #keys`` partial rows, so the slow per-row path runs on a
 few hundred rows instead of millions.
 
-Use :func:`grouped_digests_fast` / :func:`grouped_sketch_fast` as drop-in
-replacements for ``ds.groupby(key).aggregate(TDigestAgg(...))``.
+Use :func:`grouped_digests_fast` as a drop-in replacement for
+``ds.groupby(key).aggregate(TDigestAgg(...))``.
 """
 
 from __future__ import annotations
@@ -26,62 +26,73 @@ from tdigest_ray.sketches.tdigest import TDigest
 
 
 def _group_slices(tbl: pa.Table, key_cols: Sequence[str]):
-    """Yield (start, end) row ranges of equal keys in a key-sorted table."""
+    """Sort ``tbl`` by ``key_cols`` (a stable sort, so rows keep their
+    order inside a group) and find the groups of equal keys.
+
+    Returns ``(sorted_tbl, starts, ends)``; group ``i`` is rows
+    ``starts[i]:ends[i]``. Null keys sort last and form one group. With
+    no key columns a non-empty table is a single group."""
+    if key_cols:  # sort_by([]) raises
+        tbl = tbl.sort_by([(k, "ascending") for k in key_cols])
     n = tbl.num_rows
     if n == 0:
-        return
-    change = np.zeros(n - 1, dtype=bool) if n > 1 else np.zeros(0, dtype=bool)
+        return tbl, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    change = np.zeros(n - 1, dtype=bool)
     for k in key_cols:
         col = tbl.column(k).combine_chunks()
-        if n > 1:
-            neq = pc.not_equal(col.slice(1), col.slice(0, n - 1))
-            # null keys: comparisons null-propagate; treat null-vs-null as
-            # equal and null-vs-value as a boundary (sort_by groups nulls)
-            null_a = pc.is_null(col.slice(1))
-            null_b = pc.is_null(col.slice(0, n - 1))
-            neq = pc.fill_null(neq, True)
-            both_null = pc.and_(null_a, null_b)
-            neq = pc.and_(neq, pc.invert(both_null))
-            change |= neq.to_numpy(zero_copy_only=False).astype(bool)
+        neq = pc.not_equal(col.slice(1), col.slice(0, n - 1))
+        # null keys: comparisons null-propagate; treat null-vs-null as
+        # equal and null-vs-value as a boundary (sort_by groups nulls)
+        null_a = pc.is_null(col.slice(1))
+        null_b = pc.is_null(col.slice(0, n - 1))
+        neq = pc.fill_null(neq, True)
+        both_null = pc.and_(null_a, null_b)
+        neq = pc.and_(neq, pc.invert(both_null))
+        change |= neq.to_numpy(zero_copy_only=False).astype(bool)
     starts = np.concatenate([[0], np.flatnonzero(change) + 1])
-    ends = np.concatenate([starts[1:], [n]])
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        yield s, e
+    ends = np.append(starts[1:], n)
+    return tbl, starts, ends
+
+
+def _wire(d: TDigest | None) -> bytes | None:
+    """Compact + serialize a digest; ``None`` passes through."""
+    if d is None:
+        return None
+    d.compress()
+    return serde.to_bytes(d)
+
+
+def _values_digest(vals: np.ndarray, compression: int) -> bytes | None:
+    """Wire-format digest of the non-NaN ``vals``, or ``None``."""
+    vals = vals[~np.isnan(vals)]
+    if not len(vals):
+        return None
+    d = TDigest(compression)
+    d.add_many(vals)
+    return _wire(d)
 
 
 def make_partial_digest_fn(key_cols: Sequence[str],
                            value_cols: Sequence[str],
                            compression: int = 100) -> Callable:
-    """Batch fn: one wire-format digest per (block-local key, value col)."""
+    """Batch fn: one wire-format digest per (block-local key, value col).
+
+    Output columns: ``<key...>`` (the input's key types), then
+    ``<value>_digest`` (binary; null where a group has no non-null
+    values). With no key columns the batch is one group."""
     key_cols = list(key_cols)
     value_cols = list(value_cols)
 
     def fn(batch: pa.Table) -> pa.Table:
-        tbl = batch.select(key_cols + value_cols).sort_by(
-            [(k, "ascending") for k in key_cols])
-        out_keys: dict[str, list] = {k: [] for k in key_cols}
-        out_digests: dict[str, list] = {f"{c}_digest": [] for c in value_cols}
-        vals = {
-            c: tbl.column(c).to_numpy(zero_copy_only=False).astype(
+        tbl, starts, ends = _group_slices(
+            batch.select(key_cols + value_cols), key_cols)
+        cols = {k: tbl.column(k).take(starts) for k in key_cols}
+        for c in value_cols:
+            vals = tbl.column(c).to_numpy(zero_copy_only=False).astype(
                 np.float64, copy=False)
-            for c in value_cols
-        }
-        for s, e in _group_slices(tbl, key_cols):
-            for k in key_cols:
-                out_keys[k].append(tbl.column(k)[s].as_py())
-            for c in value_cols:
-                seg = vals[c][s:e]
-                seg = seg[~np.isnan(seg)]
-                if len(seg):
-                    d = TDigest(compression)
-                    d.add_many(seg)
-                    d.compress()
-                    out_digests[f"{c}_digest"].append(serde.to_bytes(d))
-                else:
-                    out_digests[f"{c}_digest"].append(None)
-        cols = {k: pa.array(v) for k, v in out_keys.items()}
-        cols.update({k: pa.array(v, pa.binary())
-                     for k, v in out_digests.items()})
+            cols[f"{c}_digest"] = pa.array(
+                [_values_digest(vals[s:e], compression)
+                 for s, e in zip(starts.tolist(), ends.tolist())], pa.binary())
         return pa.table(cols)
 
     return fn
@@ -135,16 +146,31 @@ def make_null_key_unmask(key_cols: Sequence[str]) -> Callable:
     return unmask_nulls
 
 
-def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
+def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100,
+                         nsalt: int = 0):
     """``tdigest(v, comp) GROUP BY keys`` with vectorized map-side partials.
 
     Output columns: ``<key...>, <value>_digest`` (binary wire format) —
     identical schema and merge semantics to the plain
     ``groupby().aggregate(TDigestAgg)`` path, ~10x faster on large blocks.
+
+    ``nsalt > 0`` adds a salted first merge level, a two-level merge TREE
+    for the regime where the REDUCE-STATE count itself explodes (10^6+
+    surviving partial states per key, e.g. an un-coalesced 100 TB run).
+    Each partial row gets ``_salt = content_hash(first digest) % nsalt``;
+    the first level reduces (keys, salt) — #states/nsalt per reducer,
+    nsalt-way parallel — and the second merges the nkeys x nsalt
+    survivors. The salt is a pure function of the partial's wire bytes,
+    so task retries and block re-splits land partials deterministically.
+    At bench scale salting does NOT pay (bench ``skewed_merge``, r3):
+    Ray's grouped aggregate already combines block-locally before the
+    shuffle, so a 90%-hot key merges as fast as a uniform spread and the
+    extra groupby level costs more than it saves.
     """
     import ray
 
     from tdigest_ray.aggregates import TDigestMergeAgg
+    from tdigest_ray.sketches.hashing import fast_hash64_utf8
 
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = [value_cols] if isinstance(value_cols, str) else list(value_cols)
@@ -156,6 +182,15 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
         # both the digest count and the per-call fixed costs
         batch_size=None,
     )
+    if nsalt:
+        def add_salt(batch: pa.Table) -> pa.Table:
+            # content-derived salt straight from the binary column's Arrow
+            # buffers (nulls hash as empty) — no per-row Python objects
+            h = fast_hash64_utf8(batch.column(f"{value_cols[0]}_digest"))
+            salt = (h % np.uint64(nsalt)).astype(np.int32)
+            return batch.append_column("_salt", pa.array(salt))
+
+        partial = partial.map_batches(add_salt, batch_format="pyarrow")
     # coalesce the tiny partial-row blocks to ~cluster width before the
     # merge groupby — the sort shuffle pays fixed costs PER INPUT BLOCK,
     # and at 512+ input blocks that flood dominates wall time (measured
@@ -165,11 +200,12 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
 
     partial = partial.map_batches(make_null_key_mask(key_cols),
                                   batch_format="pyarrow")
+    aggs = [TDigestMergeAgg(f"{c}_digest", alias_name=f"{c}_digest")
+            for c in value_cols]
+    if nsalt:
+        partial = partial.groupby(key_cols + ["_salt"]).aggregate(*aggs)
     key = key_cols[0] if len(key_cols) == 1 else key_cols
-    merged = partial.groupby(key).aggregate(*[
-        TDigestMergeAgg(f"{c}_digest", alias_name=f"{c}_digest")
-        for c in value_cols
-    ])
+    merged = partial.groupby(key).aggregate(*aggs)
     return merged.map_batches(make_null_key_unmask(key_cols),
                               batch_format="pyarrow")
 
@@ -185,74 +221,21 @@ def merge_partial_digest_table(tbl: pa.Table, key_cols, value_cols) -> pa.Table:
     so the coalesce-repartition + groupby barriers — whose fixed cost
     dominates a per-file pipeline (measured ~3.6 s/file wall for
     ~0.5 core-s of actual work) — are replaced by one in-process merge
-    loop over a few dozen rows. Merge-order independence within the
+    over a few dozen rows. Merge-order independence within the
     published accuracy bound is the library's core digest contract.
-    Null group keys pass through as null (no mask/unmask round trip
-    needed off the groupby machinery)."""
+    Groups come out in key order, null keys last and kept as null (no
+    mask/unmask round trip needed off the groupby machinery)."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = ([value_cols] if isinstance(value_cols, str)
                   else list(value_cols))
-    groups: dict = {}
-    for i in range(tbl.num_rows):
-        kt = tuple(tbl.column(k)[i].as_py() for k in key_cols)
-        cell = groups.setdefault(kt, {c: None for c in value_cols})
-        for c in value_cols:
-            b = tbl.column(f"{c}_digest")[i].as_py()
-            if b is None:
-                continue
-            d = serde.from_bytes(b)
-            if cell[c] is None:
-                cell[c] = d
-            else:
-                cell[c].merge_digest(d)
-    # deterministic key order (nulls last, like the groupby path's mask)
-    order = sorted(groups, key=lambda kt: tuple(
-        (v is None, v) for v in kt))
-    cols: dict = {}
-    for j, k in enumerate(key_cols):
-        cols[k] = pa.array([kt[j] for kt in order],
-                           tbl.schema.field(k).type)
+    tbl, starts, ends = _group_slices(tbl, key_cols)
+    cols = {k: tbl.column(k).take(starts) for k in key_cols}
     for c in value_cols:
-        blobs = []
-        for kt in order:
-            d = groups[kt][c]
-            if d is None:
-                blobs.append(None)
-            else:
-                d.compress()
-                blobs.append(serde.to_bytes(d))
-        cols[f"{c}_digest"] = pa.array(blobs, pa.binary())
+        blobs = tbl.column(f"{c}_digest")
+        cols[f"{c}_digest"] = pa.array(
+            [_wire(serde.merge_blobs(blobs.slice(s, e - s).to_pylist()))
+             for s, e in zip(starts.tolist(), ends.tolist())], pa.binary())
     return pa.table(cols)
-
-
-def make_partial_sketch_fn(key_cols: Sequence[str], value_col: str,
-                           factory: Callable, out_col: str) -> Callable:
-    """Generic variant for any :class:`~tdigest_ray.sketches.base.Sketch`."""
-    key_cols = list(key_cols)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        tbl = batch.select(key_cols + [value_col]).sort_by(
-            [(k, "ascending") for k in key_cols])
-        col = tbl.column(value_col)
-        out_keys: dict[str, list] = {k: [] for k in key_cols}
-        blobs = []
-        for s, e in _group_slices(tbl, key_cols):
-            for k in key_cols:
-                out_keys[k].append(tbl.column(k)[s].as_py())
-            seg = col.slice(s, e - s)
-            if seg.null_count:
-                seg = pc.drop_null(seg)
-            arr = (np.asarray(seg.to_pylist(), dtype=object)
-                   if pa.types.is_string(seg.type)
-                   else seg.to_numpy(zero_copy_only=False))
-            sk = factory()
-            sk.update(arr)
-            blobs.append(sk.to_bytes())
-        cols = {k: pa.array(v) for k, v in out_keys.items()}
-        cols[out_col] = pa.array(blobs, pa.binary())
-        return pa.table(cols)
-
-    return fn
 
 
 def global_digest_tree(ds, value_col: str, compression: int = 100,
@@ -281,41 +264,23 @@ def global_digest_tree(ds, value_col: str, compression: int = 100,
 
     if fanout is None:
         fanout = max(4, int(ray.cluster_resources().get("CPU", 8)))
+    col = f"{value_col}_digest"
+    digest_fn = make_partial_digest_fn([], [value_col], compression)
 
     def partial(batch: pa.Table) -> pa.Table:
-        vals = batch.column(value_col).to_numpy(
-            zero_copy_only=False).astype(np.float64, copy=False)
-        vals = vals[~np.isnan(vals)]
-        if not len(vals):
-            return pa.table({"dg": pa.array([], pa.binary())})
-        d = TDigest(compression)
-        d.add_many(vals)
-        d.compress()
-        return pa.table({"dg": pa.array([serde.to_bytes(d)], pa.binary())})
+        out = digest_fn(batch)
+        return out.filter(pc.is_valid(out.column(col)))  # all-null block
 
     def merge_block(batch: pa.Table) -> pa.Table:
-        blobs = [b for b in batch.column("dg").to_pylist() if b is not None]
-        if not blobs:
-            return pa.table({"dg": pa.array([], pa.binary())})
-        acc = serde.from_bytes(blobs[0])
-        for b in blobs[1:]:
-            acc.merge_digest(serde.from_bytes(b))
-        acc.compress()
-        return pa.table({"dg": pa.array([serde.to_bytes(acc)], pa.binary())})
+        blob = _wire(serde.merge_blobs(batch.column(col).to_pylist()))
+        return pa.table({col: pa.array([blob], pa.binary())})
 
     merged = (
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
         .repartition(fanout)
         .map_batches(merge_block, batch_format="pyarrow", batch_size=None)
     )
-    blobs = [r["dg"] for r in merged.take_all() if r["dg"] is not None]
-    if not blobs:
-        return None
-    acc = serde.from_bytes(bytes(blobs[0]))
-    for b in blobs[1:]:
-        acc.merge_digest(serde.from_bytes(bytes(b)))
-    acc.compress()
-    return serde.to_bytes(acc)
+    return _wire(serde.merge_blobs(r[col] for r in merged.take_all()))
 
 
 def global_percentile_tree(ds, value_col: str, percentiles,

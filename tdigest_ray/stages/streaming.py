@@ -26,45 +26,20 @@ import ray
 
 from tdigest_ray.functions import serde
 from tdigest_ray.sketches.tdigest import TDigest
+from tdigest_ray.stages.partial import make_partial_digest_fn
 
 
 def _fold_batch(batch: pa.Table, key_col: str, value_col: str,
                 compression: int) -> dict[str, bytes]:
-    """One partial digest per DISTINCT key in the batch.
-
-    Grouping is one ``dictionary_encode`` (C++ hash pass) + an integer
-    argsort + boundary diff — Python work is per distinct key, never per
-    row (the ``normalize.py``/``tfidf.py`` idiom; VERDICT r4 #5 replaced
-    the old ``to_pylist`` + object-array sort). Null keys form their own
-    group under key ``None``, the library's null-group convention."""
-    if batch.num_rows == 0:
-        return {}
-    kcol = batch.column(key_col)
-    if isinstance(kcol, pa.ChunkedArray):
-        kcol = kcol.combine_chunks()
-    values = batch.column(value_col).to_numpy(zero_copy_only=False).astype(
-        np.float64, copy=False)
-    denc = kcol.dictionary_encode()
-    dict_keys = denc.dictionary.to_pylist()
-    n_real = len(dict_keys)
-    codes = (denc.indices.fill_null(n_real)
-             .to_numpy(zero_copy_only=False).astype(np.int64))
-    dict_keys.append(None)
-    order = np.argsort(codes, kind="stable")
-    sc = codes[order]
-    sv = values[order]
-    starts = np.flatnonzero(np.concatenate([[True], sc[1:] != sc[:-1]]))
-    ends = np.append(starts[1:], len(sc))
-    out: dict = {}
-    for s, e in zip(starts, ends):
-        vals = sv[s:e]
-        vals = vals[~np.isnan(vals)]
-        if len(vals):
-            d = TDigest(compression)
-            d.add_many(vals)
-            d.compress()
-            out[dict_keys[sc[s]]] = serde.to_bytes(d)
-    return out
+    """One partial digest per DISTINCT key in the batch — the map-side
+    partial of :func:`~tdigest_ray.stages.partial.make_partial_digest_fn`
+    as a dict. Python work is per distinct key, never per row. Null keys
+    form their own group under key ``None``, the library's null-group
+    convention; keys whose values are all null are left out."""
+    out = make_partial_digest_fn([key_col], [value_col], compression)(batch)
+    return {k: b for k, b in zip(out.column(key_col).to_pylist(),
+                                 out.column(f"{value_col}_digest").to_pylist())
+            if b is not None}
 
 
 @ray.remote(num_cpus=0)

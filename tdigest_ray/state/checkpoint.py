@@ -123,36 +123,42 @@ def _write_refs_streaming(refs: list, meta: dict, tmp: str) -> None:
     residency is the execution's own output (released progressively
     here), not execution + a full-table concat copy. Lineage goes into
     the writer's schema metadata so ``completed_files`` still reads it
-    from the footer."""
-    writer = None
-    schema = None
+    from the footer.
+
+    The part's schema is the unified schema of every non-empty block
+    (a first block whose column is all null, and so null-typed, must not
+    fix that column's type for the rest); a first pass reads each
+    block's schema (zero-copy from a local object store)."""
+    schemas = []
     empty = None
+    for ref in refs:
+        t = ray.get(ref)
+        if t.num_rows:
+            schemas.append(t.schema)
+        elif empty is None:
+            empty = t  # keep one for the schema-only case
+    writer = None
     try:
-        while refs:
-            t = ray.get(refs.pop(0))
-            if t.num_rows == 0:
-                if empty is None:
-                    empty = t  # keep one for the schema-only case
-                continue
-            if writer is None:
-                schema = t.schema
-                writer = pq.ParquetWriter(tmp, schema.with_metadata(meta))
-            elif not t.schema.equals(schema):
-                t = t.cast(schema)
-            writer.write_table(t)
-        if writer is None:
+        if not schemas:
             # every block empty: the part still records schema + lineage
             tbl = (empty if empty is not None
                    else pa.table({})).replace_schema_metadata(meta)
             pq.write_table(tbl, tmp)
+            return
+        schema = pa.unify_schemas(schemas, promote_options="permissive")
+        writer = pq.ParquetWriter(tmp, schema.with_metadata(meta))
+        while refs:
+            t = ray.get(refs.pop(0))
+            if t.num_rows:
+                writer.write_table(t if t.schema.equals(schema)
+                                   else t.cast(schema))
     except BaseException:
         if writer is not None:
             writer.close()
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-    if writer is not None:
-        writer.close()
+    writer.close()
 
 
 def run_with_checkpoints(input_files: list[str], ckpt_dir: str, digest_fn,

@@ -417,3 +417,103 @@ class TestHeterogeneousCompressionShuffle:
             total, vmax = expected[row["g"]]
             assert serde.digest_count(bytes(row["dg"])) == total
             assert 0.0 <= row["q50"] <= vmax
+
+
+# --------------------------------------------------------------------- #
+# every public t-digest aggregate through Ray, against an exact oracle
+# --------------------------------------------------------------------- #
+
+import tdigest_ray.aggregates as _aggs  # noqa: E402
+
+# ACCURACY.md's reference gate for uniform data at compression 100
+# (absolute error on values in [0, 1), i.e. rank error)
+_GATE = 0.01
+_QS = [0.1, 0.5, 0.9]
+_XS = [0.25, 0.75]
+
+# name -> (input mode, constructor args after the input column(s))
+_ALL_TDIGEST_AGGS = {
+    "TDigestAgg": ("values", ()),
+    "TDigestPercentile": ("values", (_QS,)),
+    "TDigestPercentileOf": ("values", (_XS,)),
+    "TDigestTrimmedSum": ("values", (0.1, 0.9)),
+    "TDigestTrimmedAvg": ("values", (0.1, 0.9)),
+    "TDigestWeightedAgg": ("pairs", ()),
+    "TDigestWeightedPercentile": ("pairs", (_QS,)),
+    "TDigestWeightedPercentileOf": ("pairs", (_XS,)),
+    "TDigestWeightedTrimmedSum": ("pairs", (0.1, 0.9)),
+    "TDigestWeightedTrimmedAvg": ("pairs", (0.1, 0.9)),
+    "TDigestMergeAgg": ("digests", ()),
+    "TDigestMergePercentile": ("digests", (_QS,)),
+    "TDigestMergePercentileOf": ("digests", (_XS,)),
+    "TDigestMergeTrimmedSum": ("digests", (0.1, 0.9)),
+    "TDigestMergeTrimmedAvg": ("digests", (0.1, 0.9)),
+    "TDigestCountAgg": ("digests", ()),
+}
+
+
+@pytest.fixture(scope="module")
+def mode_inputs():
+    """Uniform values with 2% null values and 5% null counts (a null
+    count means 1); the digest input holds per-group partial digests of
+    the same values. Returns the datasets per input mode and the exact
+    sorted (expanded) data each mode represents."""
+    from tdigest_ray.stages.partial import make_partial_digest_fn
+
+    rng = np.random.default_rng(16)
+    n = 20_000
+    v = rng.random(n)
+    v[rng.random(n) < 0.02] = np.nan
+    c = rng.integers(1, 5, n).astype(np.float64)
+    c[rng.random(n) < 0.05] = np.nan
+    tbl = pa.table({"v": pa.array(v, from_pandas=True),
+                    "c": pa.array(c, from_pandas=True),
+                    "g": pa.array(np.arange(n) % 16)})
+    digests = make_partial_digest_fn(["g"], ["v"], 100)(tbl)
+    keep = ~np.isnan(v)
+    values = np.sort(v[keep])
+    pairs = np.sort(np.repeat(v[keep], np.nan_to_num(c[keep], nan=1.0)
+                              .astype(np.int64)))
+    ds = ray.data.from_arrow(tbl).repartition(6)
+    return {
+        "values": (ds, values, _aggs.TDigestAgg("v", alias_name="w")),
+        "pairs": (ds, pairs, _aggs.TDigestWeightedAgg("v", "c",
+                                                      alias_name="w")),
+        "digests": (ray.data.from_arrow(digests).repartition(4), values,
+                    _aggs.TDigestMergeAgg("v_digest", alias_name="w")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ALL_TDIGEST_AGGS))
+def test_every_tdigest_aggregate_against_oracle(name, mode_inputs):
+    """One case per public aggregate, i.e. per (input mode x finalizer)
+    cell. The count through the case's input mode is exact (checked on a
+    digest aggregated in the same pass), and the answer is within the
+    reference's accuracy gate of the exact answer on the same data."""
+    mode, args = _ALL_TDIGEST_AGGS[name]
+    ds, exact, witness = mode_inputs[mode]
+    cols = {"values": ("v",), "pairs": ("v", "c"),
+            "digests": ("v_digest",)}[mode]
+    agg = getattr(_aggs, name)(*cols, *args, alias_name="out")
+    res = ds.aggregate(agg, witness)
+    assert serde.from_bytes(bytes(res["w"])).count == len(exact)
+    out = res["out"]
+    n = len(exact)
+    if name in ("TDigestAgg", "TDigestWeightedAgg", "TDigestMergeAgg"):
+        d = serde.from_bytes(bytes(out))
+        assert d.count == n
+        assert abs(d.quantile(0.5) - np.quantile(exact, 0.5)) <= _GATE
+    elif name == "TDigestCountAgg":
+        assert out == n
+    elif "PercentileOf" in name:
+        want = np.searchsorted(exact, _XS, side="right") / n
+        assert np.max(np.abs(np.asarray(out) - want)) <= _GATE
+    elif "Percentile" in name:
+        want = np.quantile(exact, _QS)
+        assert np.max(np.abs(np.asarray(out) - want)) <= _GATE
+    else:
+        window = exact[int(np.floor(0.1 * n)):int(np.ceil(0.9 * n))]
+        if name.endswith("Sum"):
+            assert abs(out - window.sum()) <= _GATE * len(window)
+        else:
+            assert abs(out - window.mean()) <= _GATE

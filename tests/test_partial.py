@@ -6,11 +6,7 @@ import ray
 
 from tdigest_ray.aggregates import TDigestAgg
 from tdigest_ray.functions import serde
-from tdigest_ray.sketches.hll import HLL
-from tdigest_ray.stages.partial import (
-    grouped_digests_fast,
-    make_partial_sketch_fn,
-)
+from tdigest_ray.stages.partial import grouped_digests_fast
 from tdigest_ray.sources.synthetic import lcg
 
 
@@ -75,21 +71,6 @@ class TestPartialDigests:
         # the two null-key rows end up in one group of 2
         null_counts = [v for k, v in counts.items() if k is None]
         assert null_counts == [2]
-
-    def test_generic_sketch_partial(self):
-        ds, tbl = make_ds()
-        fn = make_partial_sketch_fn(["k"], "v", lambda: HLL(12), "hll")
-        partial = ds.map_batches(fn, batch_format="pyarrow").to_pandas()
-        merged: dict[str, HLL] = {}
-        for _, row in partial.iterrows():
-            h = HLL.from_bytes(row["hll"])
-            if row["k"] in merged:
-                merged[row["k"]].merge(h)
-            else:
-                merged[row["k"]] = h
-        exact = tbl.to_pandas().groupby("k")["v"].nunique()
-        for k, h in merged.items():
-            assert abs(h.estimate() - exact[k]) / exact[k] < 0.05
 
 
 class TestGlobalDigestTree:

@@ -332,3 +332,68 @@ class TestGroupedDigestsTable:
         got = {r["lang"]: serde.digest_count(bytes(r["text_len_digest"]))
                for r in tbl.to_pylist()}
         assert got == exact.to_dict()
+
+
+def _tiny_features():
+    import pyarrow as pa
+    import ray
+
+    return ray.data.from_arrow(pa.table({
+        "lang": pa.array(["en", "de"], pa.string()),
+        "text_len": pa.array([1.0, 2.0]),
+        "html_size": pa.array([3.0, 4.0]),
+    }))
+
+
+@pytest.mark.parametrize("shape", ["limit0", "filtered_to_nothing"])
+def test_grouped_digests_table_zero_rows(shape):
+    """A zero-row input gives a 0-row table with the group column and one
+    binary digest column per requested feature. ``limit(0)`` keeps the
+    schema but yields no blocks; a filter that drops every row leaves
+    ``ds.schema()`` as ``None``."""
+    import pyarrow as pa
+
+    ds = _tiny_features()
+    ds = ds.limit(0) if shape == "limit0" else ds.filter(lambda r: False)
+    out = flagship.grouped_digests_table(
+        ds, features=("text_len", "html_size"))
+    assert out.num_rows == 0
+    assert out.column_names == ["lang", "text_len_digest", "html_size_digest"]
+    assert out.schema.field("text_len_digest").type == pa.binary()
+    assert out.schema.field("html_size_digest").type == pa.binary()
+    if shape == "limit0":
+        assert out.schema.field("lang").type == pa.string()
+
+
+@pytest.mark.parametrize("route",
+                         ["grouped_digests", "grouped_digests_salted"])
+def test_grouped_routes_filtered_to_nothing(route):
+    """The distributed routes accept an input whose schema is unknown
+    because a filter dropped every row: 0 rows, typed digest columns."""
+    ds = _tiny_features().filter(lambda r: False)
+    out = getattr(flagship, route)(ds, features=("text_len", "html_size"))
+    assert out.count() == 0
+    assert out.schema().names == ["lang", "text_len_digest",
+                                  "html_size_digest"]
+
+
+@pytest.mark.parametrize("null_first", [True, False])
+def test_streaming_part_write_unifies_block_schemas(tmp_path, null_first):
+    """A block whose column is all null (null-typed) may come before or
+    after a block with the real type; the part takes the unified schema
+    either way instead of casting to the first block's."""
+    import pyarrow as pa
+    import ray
+
+    blocks = [pa.table({"k": pa.array([1, 2]), "x": pa.nulls(2)}),
+              pa.table({"k": pa.array([3]), "x": pa.array(["a"])})]
+    if not null_first:
+        blocks.reverse()
+    tmp = str(tmp_path / "part.parquet")
+    checkpoint._write_refs_streaming([ray.put(b) for b in blocks],
+                                     {b"input_file": b"in.parquet"}, tmp)
+    got = pq.read_table(tmp)
+    assert got.schema.field("x").type == pa.string()
+    assert sorted(got.column("k").to_pylist()) == [1, 2, 3]
+    assert got.column("x").null_count == 2
+    assert pq.read_schema(tmp).metadata[b"input_file"] == b"in.parquet"

@@ -432,3 +432,42 @@ class TestEdgeCases:
             TDigest(10001)
         TDigest(10)
         TDigest(10000)
+
+
+class TestMergeBlobs:
+    """``serde.merge_blobs`` — the one streaming digest-merge helper."""
+
+    @staticmethod
+    def _blobs():
+        rng = np.random.default_rng(5)
+        out = []
+        for i in range(60):
+            d = TDigest(100 if i % 2 == 0 else 50)
+            d.add_many(rng.lognormal(0.0, 1.0, 2000))
+            d.compress()
+            out.append(serde.to_bytes(d))
+        return out
+
+    def test_byte_identical_to_merge_digest_chain(self):
+        blobs = self._blobs()
+        chain = serde.from_bytes(blobs[0])
+        for b in blobs[1:]:
+            chain.merge_digest(serde.from_bytes(b))
+        with_nulls = [None] + blobs[:7] + [None] + blobs[7:] + [None]
+        got = serde.merge_blobs(iter(with_nulls))
+        assert got.ncompactions >= 2  # several buffer-full compactions
+        assert got.compression == 100  # first-seen compression wins
+        got.compress()
+        chain.compress()
+        assert serde.to_bytes(got) == serde.to_bytes(chain)
+        assert got.count == sum(serde.digest_count(b) for b in blobs)
+
+    def test_lone_digest_comes_back_unchanged(self):
+        b = self._blobs()[1]
+        got = serde.merge_blobs([None, b, None])
+        got.compress()
+        assert serde.to_bytes(got) == b
+
+    def test_no_digest_gives_none(self):
+        assert serde.merge_blobs([None, None]) is None
+        assert serde.merge_blobs([]) is None
