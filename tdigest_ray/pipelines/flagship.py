@@ -26,7 +26,9 @@ import pyarrow as pa
 import ray
 
 from tdigest_ray.functions import serde
-from tdigest_ray.stages.features import add_features, extract_text
+from tdigest_ray.stages.common import block_tables
+from tdigest_ray.stages.features import (add_features, extract_text,
+                                         feature_names)
 
 DEFAULT_FEATURES = ("text_len", "token_count", "html_size")
 DEFAULT_PERCENTILES = (0.5, 0.95, 0.99)
@@ -107,27 +109,35 @@ def grouped_digests_table(ds, group_col: str = "lang",
     (``partial.merge_partial_digest_table``) — returns a ``pa.Table``
     with the same schema as :func:`grouped_digests`.
 
-    A per-file pipeline's wall time is dominated by the coalesce +
-    groupby barriers, not by work (#blocks x #groups partial rows for
-    one file is a few dozen rows); skipping them took the checkpointed
-    CLI from ~8 s/file amortized to ~1 s/file. Use
-    :func:`grouped_digests` for corpus-sized datasets, where the
-    distributed merge is the right shape."""
+    A per-file pipeline's wall time is dominated by fixed costs, not by
+    work (#blocks x #groups partial rows for one file is a few dozen
+    rows): the coalesce + groupby barriers are skipped for the driver
+    merge, and an input that yields rows executes once — ``ds`` is not
+    probed for its schema (a ``map_batches`` output's schema is unknown
+    until it runs, so a probe is a hidden ``limit(1)`` re-run); the
+    requested features are checked against the partial blocks that come
+    back. An input that yields no rows, or none of the features, runs a
+    second time: ``ds.schema()`` types the empty result or names the
+    columns in the error. Use :func:`grouped_digests` for corpus-sized
+    datasets, where the distributed merge is the right shape."""
     from tdigest_ray.stages.partial import (make_partial_digest_fn,
                                             merge_partial_digest_table)
 
-    schema = ds.schema()
-    present = _checked_features(schema, features)
-    tables = []
-    if schema is not None:
-        partial = ds.map_batches(
-            make_partial_digest_fn([group_col], present, compression),
-            batch_format="pyarrow", batch_size=None)
-        tables = [t for t in map(ray.get, partial.to_arrow_refs())
-                  if t.num_rows]
+    def partial_fn(batch: pa.Table) -> pa.Table:
+        present = [f for f in features if f in batch.column_names]
+        return make_partial_digest_fn([group_col], present,
+                                      compression)(batch)
+
+    tables = block_tables(ds.map_batches(partial_fn, batch_format="pyarrow",
+                                         batch_size=None))
     if not tables:
-        return _empty_digests(schema, group_col, present)
+        schema = ds.schema()
+        return _empty_digests(schema, group_col,
+                              _checked_features(schema, features))
     tbl = pa.concat_tables(tables, promote_options="permissive")
+    present = [f for f in features if f"{f}_digest" in tbl.column_names]
+    if not present:
+        _checked_features(ds.schema(), features)  # raises, naming the columns
     return merge_partial_digest_table(tbl, [group_col], present)
 
 
@@ -180,14 +190,18 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
     ``num_blocks`` repartitions explicitly after the read — use ~4-16 blocks
     per CPU when input files are too few/too coarse for the cluster (the
     partial-digest stage parallelizes per block)."""
+    from tdigest_ray.stages.partial import grouped_digests_fast
+
     if isinstance(pages, str):
         cols = ["html", "lang"] if from_html else ["text", "lang"]
         pages = ray.data.read_parquet(pages, columns=cols)
     if num_blocks:
         pages = pages.repartition(num_blocks)
+    # the features follow from the input's columns, known without running
+    # anything for a read: no limit(1) probe of the feature stage
+    features = feature_names(pages.columns() or ())
     feats = prepare_features(pages, from_html=from_html)
-    features = _checked_features(feats.schema(), DEFAULT_FEATURES)
-    digests = _grouped(feats, "lang", features, compression,
-                       nsalt if salted else 0)
+    digests = grouped_digests_fast(feats, "lang", features, compression,
+                                   nsalt=nsalt if salted else 0)
     return finalize_quantiles(digests, features=features,
                               percentiles=percentiles)

@@ -38,10 +38,17 @@ def extract_text(batch: pa.Table, html_col: str = "html",
     return batch.append_column(out_col, sliced)
 
 
+def feature_names(cols, html_col: str | None = "html") -> list[str]:
+    """The columns :func:`add_features` appends to a batch whose columns
+    are ``cols``: ``text_len`` and ``token_count`` always, ``html_size``
+    iff ``html_col`` is present."""
+    html = html_col is not None and html_col in cols
+    return ["text_len", "token_count"] + (["html_size"] if html else [])
+
+
 def add_features(batch: pa.Table, text_col: str = "text",
                  html_col: str | None = "html") -> pa.Table:
-    """Append ``text_len``, ``token_count`` (+ ``html_size`` when html is
-    present) as int64 columns."""
+    """Append :func:`feature_names` as int64 columns."""
     text = batch.column(text_col)
     batch = batch.append_column(
         "text_len", pc.cast(pc.utf8_length(text), pa.int64())
@@ -52,7 +59,7 @@ def add_features(batch: pa.Table, text_col: str = "text",
         "token_count",
         pc.cast(pc.add(pc.count_substring(text, " "), 1), pa.int64()),
     )
-    if html_col is not None and html_col in batch.column_names:
+    if "html_size" in feature_names(batch.column_names, html_col):
         batch = batch.append_column(
             "html_size",
             pc.cast(pc.binary_length(batch.column(html_col)), pa.int64()),

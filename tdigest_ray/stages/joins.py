@@ -22,13 +22,14 @@ import pyarrow.compute as pc
 
 import ray
 
+from tdigest_ray.stages.common import block_tables
+
 
 def _dim_table(dim) -> pa.Table:
     if isinstance(dim, pa.Table):
         return dim
     if hasattr(dim, "to_arrow_refs"):  # ray.data.Dataset
-        parts = [ray.get(r) for r in dim.to_arrow_refs()]
-        parts = [p for p in parts if p.num_rows]
+        parts = block_tables(dim)
         return pa.concat_tables(parts) if parts else dim.schema().empty_table()
     raise TypeError(f"unsupported dimension side: {type(dim)}")
 

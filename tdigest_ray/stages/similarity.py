@@ -20,6 +20,8 @@ import pyarrow as pa
 
 import ray
 
+from tdigest_ray.stages.common import block_tables
+
 
 def _normalize(m: np.ndarray, dtype=np.float32) -> np.ndarray:
     m = np.asarray(m, dtype=dtype)
@@ -131,11 +133,7 @@ def _reduce_topk(candidates, k: int, id_col: str, nq: int,
                 lambda t: _topk_table(t, k, id_col).drop_columns(["rank"]),
                 batch_format="pyarrow")
         )
-    # empty input blocks surface here as zero-row (sometimes schemaless)
-    # tables; drop them before concat or the schema unification throws
-    tables = [t for t in (ray.get(ref)
-                          for ref in candidates.to_arrow_refs())
-              if t.num_rows]
+    tables = block_tables(candidates)
     if not tables:
         return _topk_table(
             pa.table({"query_idx": pa.array([], pa.int64()),
@@ -304,9 +302,8 @@ def ivf_train_distributed(ds, ncells: int = 64, iters: int = 5,
             .map_batches(_merge_kmeans_partials, batch_format="pyarrow",
                          batch_size=None)
         )
-        tbl = pa.concat_tables(
-            [ray.get(r) for r in merged.to_arrow_refs()],
-            promote_options="permissive")
+        tbl = pa.concat_tables(block_tables(merged),
+                               promote_options="permissive")
         final = _merge_kmeans_partials(tbl)
         cells = final.column("cell").to_numpy(zero_copy_only=False)
         counts = final.column("count").to_numpy(zero_copy_only=False)

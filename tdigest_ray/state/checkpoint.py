@@ -26,6 +26,8 @@ import pyarrow.parquet as pq
 
 import ray
 
+from tdigest_ray.stages.common import block_refs
+
 ENGINE_VERSION = "tdigest-ray-0.1"
 
 # Dataset CONSTRUCTION is serialized across the checkpoint thread pool:
@@ -35,6 +37,10 @@ ENGINE_VERSION = "tdigest-ray-0.1"
 # surfacing as "cannot import name ..." instead of the caught
 # ModuleNotFoundError. Execution (the expensive part) stays parallel.
 _DATASET_CTOR_LOCK = threading.Lock()
+
+# The largest read split of one input file (the 2M-page CLI's split on a
+# 32-CPU box); smaller clusters derive fewer blocks per file.
+_MAX_SPLIT_BLOCKS = 8
 
 
 def _part_name(input_file: str) -> str:
@@ -66,7 +72,7 @@ def pending_files(ckpt_dir: str, input_files: list[str]) -> list[str]:
 
 
 def run_partition(input_file: str, ckpt_dir: str, digest_fn,
-                  split_blocks: int = 8) -> str:
+                  split_blocks: int = 1) -> str:
     """Process one input file -> grouped digest table -> checkpoint part.
 
     ``digest_fn(ray.data.Dataset) -> Dataset`` computes the per-file grouped
@@ -74,11 +80,14 @@ def run_partition(input_file: str, ckpt_dir: str, digest_fn,
     part's Parquet schema metadata. Writes are atomic (tmp + rename), so a
     crashed run never leaves a half-written part that resume would trust.
 
-    One Parquet file reads as ONE Ray block, which would pin the whole
-    per-file transform chain (html extraction is the expensive part) to a
-    single core — ``split_blocks`` splits the read at planning time
-    (``override_num_blocks``; no repartition barrier) so each file's
-    pipeline spreads across cores.
+    The read is split into ``split_blocks`` blocks at planning time
+    (``override_num_blocks``; no repartition barrier), so the file's
+    transform chain (html extraction is the expensive part) spreads over
+    that many cores. Each block costs fixed scheduling overhead, so the
+    split should match the CPUs this file can actually use;
+    ``run_with_checkpoints`` passes the cluster's CPUs per concurrent
+    file. ``1`` reads exactly one block. A Dataset result executes once
+    (``stages.common.block_refs``).
 
     ``digest_fn`` may return a ``pyarrow.Table`` directly instead of a
     Dataset — the driver-side finish for per-file tables that are tiny by
@@ -89,15 +98,14 @@ def run_partition(input_file: str, ckpt_dir: str, digest_fn,
     os.makedirs(ckpt_dir, exist_ok=True)
     t0 = time.perf_counter()
     with _DATASET_CTOR_LOCK:
-        ds = ray.data.read_parquet(
-            input_file,
-            override_num_blocks=split_blocks if split_blocks > 1 else None)
+        ds = ray.data.read_parquet(input_file,
+                                   override_num_blocks=max(1, split_blocks))
     result = digest_fn(ds)
     refs = None
     if not isinstance(result, pa.Table):
-        # to_arrow_refs() runs the pipeline to completion; the file's
-        # result table is object-store resident (zero-copy) from here
-        refs = list(result.to_arrow_refs())
+        # the file's result table is object-store resident (zero-copy)
+        # from here
+        refs = block_refs(result)
     nrows_in = ds.count()
     wall_ms = int((time.perf_counter() - t0) * 1000)
     meta = {
@@ -164,7 +172,7 @@ def _write_refs_streaming(refs: list, meta: dict, tmp: str) -> None:
 def run_with_checkpoints(input_files: list[str], ckpt_dir: str, digest_fn,
                          on_progress=None,
                          max_concurrent: int = 8,
-                         split_blocks: int = 8) -> list[str]:
+                         split_blocks: int | None = None) -> list[str]:
     """Process all pending input files (skipping completed ones), returning
     the full list of part paths. Re-running after a crash resumes from the
     last completed partition.
@@ -178,11 +186,23 @@ def run_with_checkpoints(input_files: list[str], ckpt_dir: str, digest_fn,
     progress callbacks, and the first failure cancels every not-yet-
     started file (in-flight ones finish and checkpoint) before
     propagating, so a systematic error surfaces after ~max_concurrent
-    files, not after the whole corpus."""
+    files, not after the whole corpus.
+
+    ``split_blocks=None`` reads each file in as many blocks as the
+    cluster has CPUs per ``max_concurrent`` slot, at most
+    :data:`_MAX_SPLIT_BLOCKS`; see :func:`run_partition`. It follows the
+    parameter, not how many files are pending, so a resumed run splits
+    (and so digests) each file as an uninterrupted run does."""
     import concurrent.futures as cf
 
     pending = pending_files(ckpt_dir, input_files)
     if pending:
+        if split_blocks is None:
+            if not ray.is_initialized():
+                ray.init()  # as the first file's read would
+            cpus = int(ray.cluster_resources().get("CPU", 1))
+            split_blocks = max(1, min(_MAX_SPLIT_BLOCKS,
+                                      cpus // max(1, max_concurrent)))
         workers = max(1, min(max_concurrent, len(pending)))
         with cf.ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {pool.submit(run_partition, f, ckpt_dir, digest_fn,

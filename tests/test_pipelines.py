@@ -397,3 +397,92 @@ def test_streaming_part_write_unifies_block_schemas(tmp_path, null_first):
     assert sorted(got.column("k").to_pylist()) == [1, 2, 3]
     assert got.column("x").null_count == 2
     assert pq.read_schema(tmp).metadata[b"input_file"] == b"in.parquet"
+
+
+def _counting(log: str, fn=None):
+    """``fn`` (default: identity) wrapped to append one byte to ``log``
+    per call — a call count that survives Ray's worker processes."""
+    def counted(batch, **kwargs):
+        with open(log, "ab") as f:
+            f.write(b".")
+        return batch if fn is None else fn(batch, **kwargs)
+
+    return counted
+
+
+def _calls(log: str) -> int:
+    return os.path.getsize(log) if os.path.exists(log) else 0
+
+
+def _page_files(pages_dir) -> list:
+    return sorted(os.path.join(pages_dir, f) for f in os.listdir(pages_dir)
+                  if f.endswith(".parquet"))
+
+
+def test_grouped_digests_table_executes_once(pages_dir, tmp_path):
+    """One call of the upstream UDF per block: no ``limit(1)`` schema
+    probe re-runs the first block before or after the pipeline."""
+    import ray
+
+    path = _page_files(pages_dir)[0]
+    log = str(tmp_path / "calls")
+    blocks = ray.data.read_parquet(
+        path, override_num_blocks=3).materialize().num_blocks()
+    ds = ray.data.read_parquet(path, override_num_blocks=3).map_batches(
+        _counting(log), batch_format="pyarrow", batch_size=None)
+    tbl = flagship.grouped_digests_table(
+        flagship.prepare_features(ds, from_html=True))
+    assert blocks > 1 and tbl.num_rows > 0
+    assert _calls(log) == blocks
+
+
+def test_flagship_on_path_executes_once(pages_dir, tmp_path, monkeypatch):
+    """``flagship()`` on a path derives its features from the read's
+    schema: the feature UDF runs exactly as often as in one execution of
+    the feature stage, with no probe of it beforehand."""
+    import ray
+
+    log = str(tmp_path / "calls")
+    monkeypatch.setattr(flagship, "add_features",
+                        _counting(log, flagship.add_features))
+    read = ray.data.read_parquet(pages_dir, columns=["html", "lang"])
+    blocks = read.materialize().num_blocks()
+    flagship.prepare_features(read, from_html=True).materialize()
+    once = _calls(log)
+    assert once >= blocks
+    out = flagship.flagship(pages_dir).take_all()
+    assert {"text_len_p50", "token_count_p50", "html_size_p50"} <= set(out[0])
+    assert _calls(log) == 2 * once
+
+
+@pytest.mark.parametrize("unknown_schema", [False, True])
+@pytest.mark.parametrize("route", ["grouped_digests_table", "grouped_digests"])
+def test_no_requested_feature_raises(route, unknown_schema):
+    """A request naming no existing column is refused, whether the
+    schema is known up front or only once the pipeline has run."""
+    ds = _tiny_features()
+    if unknown_schema:
+        ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    with pytest.raises(ValueError,
+                       match=r"none of the requested features \('nope',\)"):
+        getattr(flagship, route)(ds, features=("nope",))
+
+
+def test_default_split_ignores_pending_count(pages_dir, tmp_path):
+    """The derived read split depends on ``max_concurrent`` and the
+    cluster, not on how many files are pending: a file's part holds the
+    same digests whether it runs alone or beside 3 other files."""
+    files = _page_files(pages_dir)
+    assert len(files) == 4
+
+    def digest_fn(ds):
+        return flagship.grouped_digests_table(
+            flagship.prepare_features(ds, from_html=True))
+
+    alone = checkpoint.run_with_checkpoints(
+        files[:1], str(tmp_path / "alone"), digest_fn, max_concurrent=2)
+    together = checkpoint.run_with_checkpoints(
+        files, str(tmp_path / "together"), digest_fn, max_concurrent=2)
+    a = pq.read_table(alone[0]).replace_schema_metadata()
+    b = pq.read_table(together[0]).replace_schema_metadata()
+    assert a.num_rows > 0 and a.equals(b)

@@ -41,6 +41,15 @@ class TestFeatures:
         assert out.column("text_len").to_pylist() == [5, 3, 0]
         assert out.column("token_count").to_pylist() == [3, 1, 1]
 
+    def test_feature_names_are_the_appended_columns(self):
+        tbl = doc_table(["a b c", "one"])
+        with_html = tbl.append_column("html", pa.array([b"x", b"yz"]))
+        for t, html_col in ((tbl, "html"), (tbl, None), (with_html, "html"),
+                            (with_html, None)):
+            out = features.add_features(t, html_col=html_col)
+            assert (features.feature_names(t.column_names, html_col)
+                    == out.column_names[t.num_columns:])
+
 
 class TestTextStats:
     def test_counts(self):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pyarrow as pa
+import pytest
 import ray
 
 from tdigest_ray.state import metrics
@@ -445,6 +446,38 @@ def test_first_failure_cancels_queued_files(tmp_path):
     # in-flight files may finish (worker threads race the cancellation);
     # the queue must NOT drain — the old behavior completed all 11
     assert len(done) <= 3, sorted(done)
+
+
+@pytest.mark.parametrize("split_blocks", [1, 4])
+def test_run_partition_executes_once(tmp_path, split_blocks):
+    """A Dataset-returning ``digest_fn`` runs once: one UDF call per read
+    block (``to_arrow_refs()`` alone would re-run the first block for
+    the schema), and ``split_blocks=1`` reads exactly one block."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from tdigest_ray.state import checkpoint
+
+    p = str(tmp_path / "in.parquet")
+    pq.write_table(pa.table({"v": pa.array(range(2500), pa.int64())}), p)
+    log = str(tmp_path / "calls")
+
+    def counted(batch):
+        with open(log, "ab") as f:
+            f.write(b".")
+        return batch
+
+    part = checkpoint.run_partition(
+        p, str(tmp_path / "ckpt"),
+        lambda ds: ds.map_batches(counted, batch_format="pyarrow",
+                                  batch_size=None),
+        split_blocks=split_blocks)
+    blocks = ray.data.read_parquet(
+        p, override_num_blocks=split_blocks).materialize().num_blocks()
+    assert blocks == split_blocks
+    assert os.path.getsize(log) == blocks
+    assert pq.read_table(part).num_rows == 2500
 
 
 def test_streaming_part_write_empty_and_multiblock(tmp_path):
