@@ -36,6 +36,7 @@ from tdigest_ray.sketches.tdigest import (
 )
 
 _HEADER = struct.Struct(">iqii")
+_PAIR = np.dtype([("mean", ">f8"), ("count", ">i8")])
 _HEADER_RE = re.compile(
     r"^flags (-?\d+) count (-?\d+) compression (-?\d+) centroids (-?\d+)"
 )
@@ -136,25 +137,64 @@ def to_bytes(d: TDigest) -> bytes:
     means, counts = d.centroids()
     n = d.ncentroids
     header = _HEADER.pack(TDIGEST_STORES_MEAN, d.count, d.compression, n)
-    arr = np.empty(n, dtype=[("mean", ">f8"), ("count", ">i8")])
+    arr = np.empty(n, dtype=_PAIR)
     arr["mean"] = means
     arr["count"] = counts
     return header + arr.tobytes()
 
 
-def from_bytes(b: bytes) -> TDigest:
+def _read_header(b: bytes) -> tuple[int, int, int]:
+    """Validated ``(flags, count, compression)`` of a binary digest whose
+    length matches its centroid count."""
     if len(b) < _HEADER.size:
         raise ValueError("invalid t-digest binary value")
     flags, count, compression, ncentroids = _HEADER.unpack_from(b)
     _validate_header(flags, count, compression, ncentroids)
-    expect = _HEADER.size + 16 * ncentroids
-    if len(b) != expect:
+    if len(b) != _HEADER.size + _PAIR.itemsize * ncentroids:
         raise ValueError("invalid t-digest binary length")
-    arr = np.frombuffer(b, dtype=[("mean", ">f8"), ("count", ">i8")], offset=_HEADER.size)
-    means = arr["mean"].astype(np.float64)
-    counts = arr["count"].astype(np.int64)
-    eff_means, counts = _validate_centroids(flags, count, means, counts)
-    return TDigest.from_centroids(compression, eff_means, counts, count=count)
+    return flags, count, compression
+
+
+def _check_centroids(flags: int, count: int, means: np.ndarray,
+                     counts: np.ndarray) -> None:
+    """Validate decoded centroids in place, converting legacy (sum,count)
+    means. One combined predicate accepts exactly what
+    :func:`_validate_centroids` accepts: counts in ``[1, count]`` summing
+    to ``count`` (as int64, like the ordered checks) and means
+    non-decreasing, which no NaN passes. Legacy input and anything the
+    predicate rejects go through the ordered checks, which name the
+    failure with the reference's message."""
+    if (
+        flags & TDIGEST_STORES_MEAN
+        and np.add.reduce(counts) == count
+        and np.minimum.reduce(counts) > 0
+        and np.maximum.reduce(counts) <= count
+        and np.count_nonzero(means[1:] >= means[:-1]) == len(means) - 1
+        and means[0] == means[0]  # NaN, when there is no pair to compare
+    ):
+        return
+    means[:] = _validate_centroids(flags, count, means, counts)[0]
+
+
+def from_bytes(b: bytes) -> TDigest:
+    """Decode a binary digest (``tdigest_recv``): the big-endian pairs are
+    converted straight into the new digest's buffers and checked there."""
+    flags, count, compression = _read_header(b)
+    pairs = np.frombuffer(b, dtype=_PAIR, offset=_HEADER.size)
+    d = TDigest.from_centroids(compression, pairs["mean"], pairs["count"],
+                               count=count)
+    _check_centroids(flags, count, *d.centroids())
+    return d
+
+
+def _decode_centroids(b: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Validated native ``(means, counts)`` of a binary digest."""
+    flags, count, _compression = _read_header(b)
+    pairs = np.frombuffer(b, dtype=_PAIR, offset=_HEADER.size)
+    means = pairs["mean"].astype(np.float64)
+    counts = pairs["count"].astype(np.int64)
+    _check_centroids(flags, count, means, counts)
+    return means, counts
 
 
 def merge_blobs(blobs) -> TDigest | None:
@@ -164,8 +204,9 @@ def merge_blobs(blobs) -> TDigest | None:
 
     The first digest seeds the state as decoded, so it keeps its
     compression (first-seen wins, tdigest.c:1504-1513) and a lone digest
-    comes back unchanged; every later digest is re-inserted through
-    :meth:`TDigest.merge_digest`. The inputs are streamed, never
+    comes back unchanged; the centroids of every later digest are
+    re-inserted through :meth:`TDigest.add_centroids`, exactly as
+    :meth:`TDigest.merge_digest` would. The inputs are streamed, never
     concatenated, so memory stays bounded by the merge buffer."""
     acc = None
     for b in blobs:
@@ -174,7 +215,7 @@ def merge_blobs(blobs) -> TDigest | None:
         if acc is None:
             acc = from_bytes(b)
         else:
-            acc.merge_digest(from_bytes(b))
+            acc.add_centroids(*_decode_centroids(b))
     return acc
 
 
@@ -232,6 +273,6 @@ def from_array(a) -> TDigest:
 
 def digest_count(b: bytes) -> int:
     """``tdigest_count`` (tdigest.c:2941-2947) over the binary format —
-    reads the header only, no centroid decode."""
-    _flags, count, _compression, _n = _HEADER.unpack_from(b)
-    return count
+    reads the header only, no centroid decode, but rejects a header or a
+    length that :func:`from_bytes` rejects."""
+    return _read_header(b)[1]

@@ -204,10 +204,10 @@ class TDigest:
 
         Unlike :meth:`merge_digest`, this restores the exact centroid layout
         without re-inserting through the buffer (used by serde round-trips).
+        The arrays are converted straight into the digest's buffers, so
+        e.g. big-endian wire fields cost one copy.
         """
         d = cls(compression)
-        means = np.asarray(means, dtype=np.float64)
-        counts = np.asarray(counts, dtype=np.int64)
         n = len(means)
         if n > len(d._means):
             raise ValueError(
@@ -216,7 +216,7 @@ class TDigest:
         d._means[:n] = means
         d._counts[:n] = counts
         d._n = n
-        d.count = int(counts.sum()) if count is None else int(count)
+        d.count = int(d._counts[:n].sum()) if count is None else int(count)
         d.ncompacted = n if ncompacted is None else ncompacted
         d.ncompactions = ncompactions
         return d
@@ -356,16 +356,16 @@ class TDigest:
         """Sort centroids by (mean, count) and rebalance equal-mean runs
         around the median (tdigest.c:281-414)."""
         n = self._n
-        if n == 0:
-            return
         means = self._means[:n]
+        if n < 2 or np.count_nonzero(means[1:] > means[:-1]) == n - 1:
+            return  # strictly increasing: the sort below is the identity
         counts = self._counts[:n]
         order = np.lexsort((counts, means))
         means[:] = means[order]
         counts[:] = counts[order]
 
         # Fast path: all means distinct -> plain sort is final.
-        if n < 2 or not (means[1:] == means[:-1]).any():
+        if not (means[1:] == means[:-1]).any():
             return
 
         median_count = self.count // 2
@@ -520,98 +520,97 @@ class TDigest:
     def quantile(self, percentiles) -> np.ndarray | float:
         """Estimate quantiles (tdigest_compute_quantiles, tdigest.c:547-646).
 
-        Triggers a compaction first, exactly like the reference.
+        Triggers a compaction first, exactly like the reference. A scalar
+        argument gives a float, anything else a 1-d array.
         """
-        scalar = np.isscalar(percentiles)
-        ps = check_percentiles(percentiles)
-        if self.count == 0:
-            out = np.full(ps.shape, np.nan)
-            return float(out[0]) if scalar else out
-        self.compress()
-        n = self._n
-        means = self._means[:n]
-        counts = self._counts[:n]
-        cum = np.cumsum(counts)
-        total = float(self.count)
-        out = np.empty(len(ps), dtype=np.float64)
-        for idx, p in enumerate(ps.tolist()):
-            if p == 0.0:
-                out[idx] = means[0]
-                continue
-            if p == 1.0:
-                out[idx] = means[n - 1]
-                continue
-            goal = p * total
-            j = int(np.searchsorted(cum, goal, side="right"))
-            if j >= n:  # numeric guard; cannot happen for p < 1 in exact math
-                out[idx] = means[n - 1]
-                continue
-            count = float(cum[j - 1]) if j > 0 else 0.0
-            c_mean = float(means[j])
-            c_count = float(counts[j])
-            delta = goal - count - c_count / 2.0
-            if abs(delta) < 1e-9:
-                out[idx] = c_mean
-                continue
-            on_the_right = delta > 0.0
-            if (on_the_right and j + 1 >= n) or ((not on_the_right) and j - 1 < 0):
-                out[idx] = c_mean
-                continue
-            if on_the_right:
-                prev_mean, prev_count = c_mean, c_count
-                next_mean, next_count = float(means[j + 1]), float(counts[j + 1])
-                count += prev_count / 2.0
-            else:
-                prev_mean, prev_count = float(means[j - 1]), float(counts[j - 1])
-                next_mean, next_count = c_mean, c_count
-                count -= prev_count / 2.0
-            slope = (next_mean - prev_mean) / (next_count / 2.0 + prev_count / 2.0)
-            out[idx] = prev_mean + slope * (goal - count)
-        return float(out[0]) if scalar else out
+        if np.isscalar(percentiles):
+            p = float(percentiles)
+            if p < 0.0 or p > 1.0:
+                check_percentiles(p)  # raises with the reference's message
+            return self._points(self._quantile_at, (p,))[0]
+        return np.asarray(
+            self._points(self._quantile_at,
+                         check_percentiles(percentiles).tolist()),
+            dtype=np.float64)
 
     def cdf(self, values) -> np.ndarray | float:
         """Inverse quantile / rank of hypothetical values
-        (tdigest_compute_quantiles_of, tdigest.c:653-739)."""
-        scalar = np.isscalar(values)
-        vs = np.asarray(values, dtype=np.float64).ravel()
+        (tdigest_compute_quantiles_of, tdigest.c:653-739). A scalar
+        argument gives a float, anything else a 1-d array."""
+        if np.isscalar(values):
+            return self._points(self._cdf_at, (float(values),))[0]
+        return np.asarray(
+            self._points(self._cdf_at,
+                         np.asarray(values, dtype=np.float64).ravel().tolist()),
+            dtype=np.float64)
+
+    def _points(self, at, args) -> list[float]:
+        """Evaluate the per-point function ``at(arg, means, counts, cum)``
+        for each argument on the compacted digest; NaN when empty."""
         if self.count == 0:
-            out = np.full(vs.shape, np.nan)
-            return float(out[0]) if scalar else out
+            return [math.nan] * len(args)
         self.compress()
+        means = self._means[: self._n]
+        counts = self._counts[: self._n]
+        cum = counts.cumsum()
+        return [at(a, means, counts, cum) for a in args]
+
+    def _quantile_at(self, p: float, means, counts, cum) -> float:
         n = self._n
-        means = self._means[:n]
-        counts = self._counts[:n]
-        cum = np.cumsum(counts)
+        if p == 0.0:
+            return float(means[0])
+        if p == 1.0:
+            return float(means[n - 1])
+        goal = p * float(self.count)
+        j = int(cum.searchsorted(goal, side="right"))
+        if j >= n:  # numeric guard; cannot happen for p < 1 in exact math
+            return float(means[n - 1])
+        count = float(cum[j - 1]) if j > 0 else 0.0
+        c_mean = float(means[j])
+        c_count = float(counts[j])
+        delta = goal - count - c_count / 2.0
+        if abs(delta) < 1e-9:
+            return c_mean
+        on_the_right = delta > 0.0
+        if (on_the_right and j + 1 >= n) or ((not on_the_right) and j - 1 < 0):
+            return c_mean
+        if on_the_right:
+            prev_mean, prev_count = c_mean, c_count
+            next_mean, next_count = float(means[j + 1]), float(counts[j + 1])
+            count += prev_count / 2.0
+        else:
+            prev_mean, prev_count = float(means[j - 1]), float(counts[j - 1])
+            next_mean, next_count = c_mean, c_count
+            count -= prev_count / 2.0
+        slope = (next_mean - prev_mean) / (next_count / 2.0 + prev_count / 2.0)
+        return prev_mean + slope * (goal - count)
+
+    def _cdf_at(self, value: float, means, counts, cum) -> float:
+        n = self._n
         total = float(self.count)
-        out = np.empty(len(vs), dtype=np.float64)
-        for idx, value in enumerate(vs.tolist()):
-            j = int(np.searchsorted(means, value, side="left"))
-            if j >= n:
-                # all means < value -> past the largest
-                out[idx] = 1.0
-                continue
-            count = float(cum[j - 1]) if j > 0 else 0.0
-            c_mean = float(means[j])
-            if value == c_mean:
-                # sum all equal-mean centroids, return midpoint rank
-                j2 = int(np.searchsorted(means, value, side="right"))
-                count_at_value = float(cum[j2 - 1] - (cum[j - 1] if j > 0 else 0))
-                out[idx] = (count + count_at_value / 2.0) / total
-                continue
-            if j == 0:
-                # below the smallest mean
-                out[idx] = 0.0
-                continue
-            prev_mean = float(means[j - 1])
-            prev_count = int(counts[j - 1])
-            c_count = float(counts[j])
-            # NB: the reference subtracts integer half of prev count here
-            # (tdigest.c:726 `count -= (prev->count / 2)` — int64 division)
-            count -= prev_count // 2
-            m = (c_mean - prev_mean) / (c_count / 2.0 + prev_count / 2.0)
-            x = (value - prev_mean) / m
-            out[idx] = (count + x) / total
-        return float(out[0]) if scalar else out
+        j = int(means.searchsorted(value, side="left"))
+        if j >= n:
+            # all means < value -> past the largest
+            return 1.0
+        count = float(cum[j - 1]) if j > 0 else 0.0
+        c_mean = float(means[j])
+        if value == c_mean:
+            # sum all equal-mean centroids, return midpoint rank
+            j2 = int(means.searchsorted(value, side="right"))
+            count_at_value = float(cum[j2 - 1] - (cum[j - 1] if j > 0 else 0))
+            return (count + count_at_value / 2.0) / total
+        if j == 0:
+            # below the smallest mean
+            return 0.0
+        prev_mean = float(means[j - 1])
+        prev_count = int(counts[j - 1])
+        c_count = float(counts[j])
+        # NB: the reference subtracts integer half of prev count here
+        # (tdigest.c:726 `count -= (prev->count / 2)` — int64 division)
+        count -= prev_count // 2
+        m = (c_mean - prev_mean) / (c_count / 2.0 + prev_count / 2.0)
+        x = (value - prev_mean) / m
+        return (count + x) / total
 
     def _trimmed(self, low: float, high: float) -> tuple[float, int]:
         """Trimmed (sum, count) walk (tdigest_trimmed_agg, tdigest.c:3306-3357).

@@ -15,7 +15,9 @@ PARTITIONS don't form, and per-partition work is linear in rows.
 
 Key contract: integer and string key columns are supported (strings
 hash via ``fast_hash64_utf8`` and pass through unchanged); float /
-decimal keys are rejected up front — cast them first.
+decimal keys are rejected up front — cast them first. Null keys form one
+key of their own (the library's null-group convention, like SQL's
+``PARTITION BY``), sorted after every other key.
 """
 from __future__ import annotations
 
@@ -34,13 +36,27 @@ def _ts_us(col) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _is_str(t) -> bool:
+    return pa.types.is_string(t) or pa.types.is_large_string(t)
+
+
+def _filled(col):
+    """The key column with nulls replaced by the type's zero value, so
+    that numpy can sort and hash it (callers keep the null mask)."""
+    if not col.null_count:
+        return col
+    return col.fill_null("" if _is_str(col.type) else
+                         False if pa.types.is_boolean(col.type) else 0)
+
+
 def _key_hash(col) -> np.ndarray:
     """uint64 partition hash for integer OR string key columns (the
-    topn._group_hash idiom). Anything else is rejected up front with a
-    clear error instead of failing deep inside numpy."""
+    topn._group_hash idiom); every null key lands in one partition.
+    Anything else is rejected up front with a clear error instead of
+    failing deep inside numpy."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+    if _is_str(col.type):
         return fast_hash64_utf8(col)
     if not (pa.types.is_integer(col.type) or pa.types.is_boolean(col.type)):
         raise TypeError(
@@ -48,7 +64,7 @@ def _key_hash(col) -> np.ndarray:
             f"{col.type}; cast float/decimal ids to int64 or string first")
     with np.errstate(over="ignore"):
         return splitmix64(
-            col.to_numpy(zero_copy_only=False).astype(np.uint64))
+            _filled(col).to_numpy(zero_copy_only=False).astype(np.uint64))
 
 
 def _narrow_fn(key_col, ts_col, id_col, num_partitions):
@@ -64,14 +80,18 @@ def _narrow_fn(key_col, ts_col, id_col, num_partitions):
 
 
 def _assign_arrays(group: pa.Table, key_col, id_col, gap_us):
-    """Sorted (ids, keys, ts, first, gap_prev, session_seq) for one
-    partition — vectorized across all keys in the partition at once."""
+    """(order, first, gap_prev, session_seq) for one partition, the last
+    three in ``order`` (by key, nulls last, then ts and id) — vectorized
+    across all keys in the partition at once."""
+    kcol = group.column(key_col)
+    null = kcol.is_null().to_numpy(zero_copy_only=False)
     ids = group.column(id_col).to_numpy(zero_copy_only=False)
-    keys = group.column(key_col).to_numpy(zero_copy_only=False)
+    keys = _filled(kcol).to_numpy(zero_copy_only=False)
     ts = group.column("_ts").to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, ts, keys))
-    ids, keys, ts = ids[order], keys[order], ts[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    order = np.lexsort((ids, ts, keys, null))
+    keys, ts, null = keys[order], ts[order], null[order]
+    first = np.concatenate(
+        ([True], (keys[1:] != keys[:-1]) | (null[1:] != null[:-1])))
     gap_prev = np.empty(len(ts), np.int64)
     gap_prev[0] = 0
     gap_prev[1:] = ts[1:] - ts[:-1]
@@ -82,7 +102,7 @@ def _assign_arrays(group: pa.Table, key_col, id_col, gap_us):
     key_base = np.repeat(
         cums[first] - 1,
         np.diff(np.concatenate((np.flatnonzero(first), [len(keys)]))))
-    return ids, keys, ts, first, gap_prev, cums - 1 - key_base
+    return order, first, gap_prev, cums - 1 - key_base
 
 
 def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -111,11 +131,11 @@ def sessionize(ds, key_col: str = "user_id", ts_col: str = "ts",
                 key_col: pa.array([], ktype),
                 "session_seq": pa.array([], pa.int64()),
                 "gap_prev_us": pa.array([], pa.int64())})
-        ids, keys, _, first, gap_prev, seq = _assign_arrays(
+        order, first, gap_prev, seq = _assign_arrays(
             group, key_col, id_col, gap_us)
         return pa.table({
-            id_col: pa.array(ids, itype),
-            key_col: pa.array(keys, ktype),
+            id_col: group.column(id_col).take(order),
+            key_col: group.column(key_col).take(order),
             "session_seq": pa.array(seq, pa.int64()),
             "gap_prev_us": pa.array(gap_prev, pa.int64(), mask=first),
         })
@@ -146,7 +166,7 @@ def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts",
                 "n_events": pa.array([], pa.int64()),
                 "n_sessions": pa.array([], pa.int64()),
                 "max_session_events": pa.array([], pa.int64())})
-        _, keys, _, first, _, seq = _assign_arrays(
+        order, first, _, seq = _assign_arrays(
             group, key_col, id_col, gap_us)
         key_idx = np.cumsum(first) - 1          # dense key index, sorted
         n_events = np.bincount(key_idx)
@@ -155,14 +175,14 @@ def session_stats(ds, key_col: str = "user_id", ts_col: str = "ts",
         sess_first = np.concatenate(
             ([True], (key_idx[1:] != key_idx[:-1]) | (seq[1:] != seq[:-1])))
         sess_len = np.diff(np.concatenate(
-            (np.flatnonzero(sess_first), [len(keys)])))
+            (np.flatnonzero(sess_first), [len(order)])))
         sess_key = key_idx[sess_first]
         n_sessions = np.bincount(sess_key)
         max_len = np.maximum.reduceat(
             sess_len, np.concatenate(
                 ([0], np.flatnonzero(sess_key[1:] != sess_key[:-1]) + 1)))
         return pa.table({
-            key_col: pa.array(keys[first], ktype),
+            key_col: group.column(key_col).take(order[first]),
             "n_events": pa.array(n_events, pa.int64()),
             "n_sessions": pa.array(n_sessions, pa.int64()),
             "max_session_events": pa.array(max_len, pa.int64())})

@@ -97,6 +97,61 @@ class TestTDigestProperties:
         # (equal means never re-averaged)
         assert d.quantile(0.5) == value
 
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 50)),
+                          min_size=2, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_compaction_ignores_buffer_order(self, pairs, seed):
+        # (mean, count) sort plus equal-mean rebalancing make one buffer's
+        # compaction independent of insertion order, also for input that
+        # is already sorted by mean alone
+        by_mean = sorted(pairs, key=lambda mc: mc[0])
+        shuffled = [pairs[i] for i in np.random.default_rng(seed).permutation(
+            len(pairs))]
+        out = []
+        for seq in (by_mean, shuffled):
+            d = TDigest(10)
+            m, c = zip(*seq)
+            d.add_centroids(np.asarray(m, float), np.asarray(c))
+            d.compress()
+            out.append(serde.to_bytes(d))
+        assert out[0] == out[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # few distinct values with large counts give equal-mean runs; a
+        # single (value, count) pair can give a single centroid
+        pairs=st.lists(st.tuples(st.integers(-3, 3).map(float) | finite_floats,
+                                 st.integers(1, 5000)),
+                       min_size=1, max_size=12),
+        compression=st.integers(10, 1000),
+        ps=st.lists(st.floats(0.0, 1.0), max_size=5),
+        xs=st.lists(finite_floats, max_size=5),
+        trim=st.tuples(st.floats(0.0, 0.5), st.floats(0.5, 1.0)).filter(
+            lambda t: t[0] < t[1]),
+    )
+    def test_decoded_digest_answers_like_in_memory(self, pairs, compression,
+                                                   ps, xs, trim):
+        d = TDigest(compression)
+        for v, c in pairs:
+            d.add(v, c)
+        d.compress()
+        rt = serde.from_bytes(serde.to_bytes(d))
+        assert rt == d
+        means = d.centroids()[0]
+        ps = [0.0, 1.0, *ps]
+        xs = [float(means[0]) - 1.0, float(means[-1]) + 1.0,
+              *means.tolist(), *xs]
+        for dig in (d, rt):
+            qs = dig.quantile(ps)
+            assert [dig.quantile(p) for p in ps] == qs.tolist()
+            rs = dig.cdf(xs)
+            assert [dig.cdf(x) for x in xs] == rs.tolist()
+        assert rt.quantile(ps).tolist() == d.quantile(ps).tolist()
+        assert rt.cdf(xs).tolist() == d.cdf(xs).tolist()
+        assert rt.trimmed_sum(*trim) == d.trimmed_sum(*trim)
+        assert rt.trimmed_avg(*trim) == d.trimmed_avg(*trim)
+
 
 class TestSiblingProperties:
     @settings(max_examples=20, deadline=None)
@@ -222,8 +277,10 @@ class TestSessionKernelProperties:
             "user_id": pa.array([r[0] for r in rows], pa.int64()),
             "_ts": pa.array([r[1] for r in rows], pa.int64()),
         })
-        ids, keys, ts, first, gap_prev, seq = _assign_arrays(
+        order, first, gap_prev, seq = _assign_arrays(
             t, "user_id", "event_id", np.int64(gap))
+        ids = t["event_id"].to_numpy()[order]
+        keys = t["user_id"].to_numpy()[order]
         got = {i: (k, s) for i, k, s in zip(ids, keys, seq)}
         # scalar reference
         ref = {}

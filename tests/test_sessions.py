@@ -131,3 +131,31 @@ class TestSessionize:
         t = t.set_column(1, "user_id", fkey)
         with pytest.raises(Exception, match="integer or string"):
             sessionize(ray.data.from_arrow(t), gap=GAP).to_pandas()
+
+    def test_null_keys_form_one_key(self):
+        """Null keys are one key of their own (the library's null-group
+        convention) instead of a ``TypeError`` from sorting ``None``
+        against strings; an int key column with nulls works the same."""
+        for keys in (pa.array(["a", None, "a", None, "", None]),
+                     pa.array([7, None, 7, None, 0, None], pa.int64())):
+            t = pa.table({
+                "event_id": pa.array(range(6), pa.int64()),
+                "user_id": keys,
+                # nulls at 0s, 30s and 500s: the last is a new session
+                "ts": pa.array([0, 0, 10_000_000, 30_000_000, 5, 500_000_000],
+                               pa.int64())})
+            df = sessionize(ray.data.from_arrow(t), gap=GAP).to_pandas()
+            df = df.set_index("event_id").sort_index()
+            assert df["session_seq"].to_dict() == {
+                0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 1}
+            assert df["gap_prev_us"].isna().tolist() == [
+                True, True, False, False, True, False]
+            assert df["user_id"].isna().tolist() == [
+                False, True, False, True, False, True]
+            st = session_stats(ray.data.from_arrow(t), gap=GAP).to_pandas()
+            rows = {(None if k is None or k != k else k):
+                    (ne, ns, ml) for k, ne, ns, ml in st.itertuples(
+                        index=False)}
+            blank, key = keys[4].as_py(), keys[0].as_py()
+            assert rows == {key: (2, 1, 2), blank: (1, 1, 1),
+                            None: (3, 2, 2)}

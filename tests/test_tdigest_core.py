@@ -4,6 +4,7 @@ value_count_api,combine,combine_crash}.sql)."""
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,118 @@ class TestSerde:
         assert list(a[:4]) == [1.0, 20.0, 10.0, 8.0]
         rt = serde.from_array(a)
         assert rt == d
+
+
+# --------------------------------------------------------------------- #
+# binary input validation (tdigest_recv, tdigest.c:2826-2939)
+# --------------------------------------------------------------------- #
+
+#: the NEW_FORMAT golden's centroids (count 20, compression 10)
+GOOD = [(1000.0, 1), (2000.0, 1), (3500.0, 2), (6500.0, 4), (12000.0, 7),
+        (17000.0, 3), (19000.0, 1), (20000.0, 1)]
+
+
+def _with(i, pair):
+    out = list(GOOD)
+    out[i] = pair
+    return out
+
+
+def _blob(flags, count, compression, pairs, ncentroids=None):
+    n = len(pairs) if ncentroids is None else ncentroids
+    return struct.pack(">iqii", flags, count, compression, n) + b"".join(
+        struct.pack(">dq", m, c) for m, c in pairs)
+
+
+def _text(flags, count, compression, pairs, ncentroids=None):
+    n = len(pairs) if ncentroids is None else ncentroids
+    return (f"flags {flags} count {count} compression {compression} "
+            f"centroids {n}" + "".join(f" ({m:.6f}, {c})" for m, c in pairs))
+
+
+# (flags, count, compression, pairs, ncentroids): one defect each
+MALFORMED = {
+    "nan_mean_single": (1, 5, 10, [(math.nan, 5)], None),
+    "nan_mean_many": (1, 20, 10, _with(3, (math.nan, 4)), None),
+    "zero_centroid_count": (1, 16, 10, _with(3, (6500.0, 0)), None),
+    "negative_centroid_count": (1, 12, 10, _with(3, (6500.0, -4)), None),
+    "centroid_count_over_total": (1, 20, 10, _with(4, (12000.0, 21)), None),
+    # the int64 sum of these counts wraps around to the total
+    "centroid_count_over_total_wrapped_sum": (
+        1, 10, 10, [(1.0, 2**63 - 1), (2.0, 2**63 - 1), (3.0, 12)], None),
+    "means_out_of_order": (1, 20, 10, _with(2, (1500.0, 2)), None),
+    "total_mismatch": (1, 21, 10, GOOD, None),
+    "bad_flags": (2, 20, 10, GOOD, None),
+    "compression_too_small": (1, 20, 5, GOOD, None),
+    "compression_too_large": (1, 20, 10001, GOOD, None),
+    "more_centroids_than_buffer": (1, 101, 10, [(float(i), 1)
+                                                for i in range(101)], None),
+    "nonpositive_total": (1, 0, 10, GOOD, None),
+    "nonpositive_ncentroids": (1, 20, 10, [], 0),
+}
+
+
+class TestBinaryValidation:
+    """``from_bytes`` rejects each defect with the message ``from_text``
+    gives for the same defect."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_same_message_as_text(self, case):
+        flags, count, compression, pairs, n = MALFORMED[case]
+        with pytest.raises(ValueError) as text_err:
+            serde.from_text(_text(flags, count, compression, pairs, n))
+        with pytest.raises(ValueError) as bin_err:
+            serde.from_bytes(_blob(flags, count, compression, pairs, n))
+        assert str(bin_err.value) == str(text_err.value)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"\x00" * 19, "invalid t-digest binary value"),
+        (_blob(1, 20, 10, GOOD)[:-1], "invalid t-digest binary length"),
+        (_blob(1, 20, 10, GOOD)[:-16], "invalid t-digest binary length"),
+        (_blob(1, 20, 10, GOOD) + b"\x00", "invalid t-digest binary length"),
+    ], ids=["shorter_than_header", "truncated_pair", "missing_pair",
+            "overlong"])
+    def test_length_defects(self, blob, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            serde.from_bytes(blob)
+
+    def test_legacy_sum_count_blob_converts_like_text(self):
+        sums = [(1000.0, 1), (2000.0, 1), (7000.0, 2), (26000.0, 4),
+                (84000.0, 7), (51000.0, 3), (19000.0, 1), (20000.0, 1)]
+        d = serde.from_bytes(_blob(0, 20, 10, sums))
+        assert serde.to_text(d) == NEW_FORMAT
+        assert d == serde.from_text(OLD_FORMAT)
+
+    def test_legacy_blob_is_checked_after_conversion(self):
+        # sorted as sums, unsorted as means (tdigest.c:2726-2738)
+        sums = [(1000.0, 1), (1500.0, 2)]
+        with pytest.raises(ValueError, match="not sorted by mean"):
+            serde.from_bytes(_blob(0, 3, 10, sums))
+
+
+class TestDigestCount:
+    """``tdigest_count`` on bytes reads the header only, but validates it
+    and the length the way the decoder does."""
+
+    @pytest.mark.parametrize("fn", [serde.digest_count,
+                                    scalar.tdigest_count])
+    def test_counts_a_good_blob(self, fn):
+        assert fn(_blob(1, 20, 10, GOOD)) == 20
+
+    @pytest.mark.parametrize("fn", [serde.digest_count,
+                                    scalar.tdigest_count])
+    @pytest.mark.parametrize("blob", [
+        b"\x00" * 5, b"\x00" * 30, _blob(1, 20, 10, GOOD)[:-3],
+        _blob(1, 20, 10, GOOD) + b"\x00", _blob(1, 20, 5, GOOD),
+        _blob(1, -20, 10, GOOD)],
+        ids=["short", "zeros", "truncated", "overlong", "compression",
+             "negative_total"])
+    def test_rejects_what_the_decoder_rejects(self, fn, blob):
+        with pytest.raises(ValueError) as decode_err:
+            serde.from_bytes(blob)
+        with pytest.raises(ValueError) as count_err:
+            fn(blob)
+        assert str(count_err.value) == str(decode_err.value)
 
 
 # --------------------------------------------------------------------- #
@@ -461,6 +574,32 @@ class TestMergeBlobs:
         chain.compress()
         assert serde.to_bytes(got) == serde.to_bytes(chain)
         assert got.count == sum(serde.digest_count(b) for b in blobs)
+
+    def test_identical_to_pairwise_chain_mixed_compression(self):
+        # 45 digests of compression 10..1000 (some a single repeated value,
+        # so equal-mean runs), interleaved with Nones
+        rng = np.random.default_rng(11)
+        blobs = []
+        for i in range(45):
+            d = TDigest(int(rng.choice([10, 25, 100, 300, 1000])))
+            if i % 5 == 0:
+                d.add(float(i % 3), int(rng.integers(1, 20000)))
+            else:
+                d.add_many(rng.normal(i, 1.0 + i % 4, int(rng.integers(1, 3000))))
+            d.compress()
+            blobs.append(serde.to_bytes(d))
+        chain = serde.from_bytes(blobs[0])
+        for b in blobs[1:]:
+            chain.merge_digest(serde.from_bytes(b))
+        with_nulls = [None, None] + [x for b in blobs for x in (b, None)]
+        got = serde.merge_blobs(with_nulls)
+        assert (got.compression, got.count, got.ncompactions,
+                got.ncompacted) == (chain.compression, chain.count,
+                                    chain.ncompactions, chain.ncompacted)
+        assert got == chain
+        got.compress()
+        chain.compress()
+        assert serde.to_bytes(got) == serde.to_bytes(chain)
 
     def test_lone_digest_comes_back_unchanged(self):
         b = self._blobs()[1]
