@@ -42,17 +42,14 @@ def hash64(values) -> np.ndarray:
 # functions below reproduce hash_array BIT-EXACTLY (pinned by a parity
 # test) straight from the Arrow string column's (offsets, data) buffers:
 # strings are sorted by length so each 8-byte SipHash block round runs as
-# one numpy gather + a few uint64 kernels over the still-active prefix —
+# two aligned uint64 gathers + a few in-place uint64 kernels over the
+# still-active prefix —
 # no Python object ever materializes. Work is O(total_bytes/8) vector ops.
 
 _SIP_KEY = b"0123456789123456"  # pandas' default hash_key
 _SIP_K0 = _U64(int.from_bytes(_SIP_KEY[:8], "little"))
 _SIP_K1 = _U64(int.from_bytes(_SIP_KEY[8:], "little"))
 _MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
-
-
-def _rotl(x: np.ndarray, b: int) -> np.ndarray:
-    return (x << _U64(b)) | (x >> _U64(64 - b))
 
 
 def _pandas_finalize(x: np.ndarray) -> np.ndarray:
@@ -66,42 +63,49 @@ def _pandas_finalize(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sipround_inplace(v0, v1, v2, v3):
+def _rotl_inplace(x: np.ndarray, b: int, tmp: np.ndarray) -> None:
+    """``x = rotl64(x, b)`` in place, through the scratch ``tmp``."""
+    np.left_shift(x, _U64(b), out=tmp)
+    np.right_shift(x, _U64(64 - b), out=x)
+    x |= tmp
+
+
+def _sipround_inplace(v0, v1, v2, v3, tmp):
     """One SipHash round, mutating the four uint64 state arrays in place
-    (fewest temporaries — these run ~2x per 8 input bytes)."""
+    (``tmp`` is a scratch array of the same length — these run ~2x per 8
+    input bytes, so no temporaries are allocated)."""
     v0 += v1
-    v1[:] = _rotl(v1, 13)
+    _rotl_inplace(v1, 13, tmp)
     v1 ^= v0
-    v0[:] = _rotl(v0, 32)
+    _rotl_inplace(v0, 32, tmp)
     v2 += v3
-    v3[:] = _rotl(v3, 16)
+    _rotl_inplace(v3, 16, tmp)
     v3 ^= v2
     v0 += v3
-    v3[:] = _rotl(v3, 21)
+    _rotl_inplace(v3, 21, tmp)
     v3 ^= v0
     v2 += v1
-    v1[:] = _rotl(v1, 17)
+    _rotl_inplace(v1, 17, tmp)
     v1 ^= v2
-    v2[:] = _rotl(v2, 32)
+    _rotl_inplace(v2, 32, tmp)
 
 
-def _aligned_blocks(data: np.ndarray, st: np.ndarray, ln: np.ndarray):
-    """Copy ragged byte segments once into an 8-aligned zero-padded scratch
-    so every 8-byte message block is an aligned uint64 load. Row i owns
-    blocks ``bstart[i] : bstart[i] + nfull[i] + 1`` — the +1 is the
-    zero-padded tail block (its padding zeros double as the SipHash tail
-    encoding). Returns (blocks: uint64[], bstart, nfull)."""
-    nfull = ln >> 3
-    pad_blocks = nfull + 1
-    bstart = np.concatenate([[0], np.cumsum(pad_blocks)])[:-1]
-    scratch = np.zeros(int(pad_blocks.sum()) * 8, dtype=np.uint8)
-    total = int(ln.sum())
-    if total:
-        intra = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(ln)])[:-1], ln)
-        scratch[np.repeat(bstart * 8, ln) + intra] = \
-            data[np.repeat(st, ln) + intra]
-    return scratch.view(np.uint64), bstart, nfull
+def _padded_words(data: np.ndarray) -> np.ndarray:
+    """The byte buffer as uint64 words, copied with zero padding so the
+    8 bytes at any offset ``o <= len(data)`` lie in words ``o >> 3`` and
+    ``(o >> 3) + 1``."""
+    padded = np.zeros((len(data) // 8 + 3) * 8, dtype=np.uint8)
+    padded[:len(data)] = data
+    return padded.view(np.uint64)
+
+
+def _load_blocks(words: np.ndarray, word: np.ndarray,
+                 shift: np.ndarray) -> np.ndarray:
+    """The 8 little-endian bytes at byte offset ``8 * word + shift / 8``
+    of each row, from two aligned loads: ``(A[t] >> s) | (A[t+1] << 64-s)``,
+    written ``((A[t+1] << 63-s) << 1)`` so that it also holds at s == 0."""
+    return (words[word] >> shift) | (
+        (words[word + 1] << (_U64(63) - shift)) << _U64(1))
 
 
 def _siphash24_segments(data: np.ndarray, starts: np.ndarray,
@@ -109,47 +113,53 @@ def _siphash24_segments(data: np.ndarray, starts: np.ndarray,
     """Vectorized SipHash-2-4 of ``data[starts[i]:starts[i]+lens[i]]`` per
     row.
 
-    Two tricks keep the per-8-byte-block cost at ONE uint64 gather plus a
-    handful of in-place kernels: (1) the 8-aligned scratch layout of
-    :func:`_aligned_blocks`; (2) rows are processed longest-first, so
-    block round j touches only the contiguous prefix of rows still having
-    a j-th block. Still O(max_len/8) sequential rounds — SipHash chains
-    block state, so this is the COMPATIBILITY path; the hot paths use
-    :func:`fast_hash64_utf8`."""
+    Each 8-byte message block is read straight from a tail-padded copy of
+    the data buffer with two aligned uint64 loads (:func:`_load_blocks`),
+    and rows are processed longest-first, so block round j loads and mixes
+    only the contiguous prefix of rows still having a j-th block. Still
+    O(max_len/8) sequential rounds — SipHash chains block state, so this is
+    the COMPATIBILITY path; the hot paths use :func:`fast_hash64_utf8`."""
     n = len(starts)
     if n == 0:
         return np.empty(0, dtype=np.uint64)
     order = np.argsort(-lens, kind="stable")
     st = starts[order].astype(np.int64)
     ln = lens[order].astype(np.int64)
-    blocks, bstart, nfull = _aligned_blocks(data, st, ln)
+    nfull = ln >> 3
+    words = _padded_words(data)
+    word = st >> 3
+    shift = ((st & 7) << 3).astype(np.uint64)
 
     v0 = np.full(n, _U64(0x736F6D6570736575) ^ _SIP_K0, dtype=np.uint64)
     v1 = np.full(n, _U64(0x646F72616E646F6D) ^ _SIP_K1, dtype=np.uint64)
     v2 = np.full(n, _U64(0x6C7967656E657261) ^ _SIP_K0, dtype=np.uint64)
     v3 = np.full(n, _U64(0x7465646279746573) ^ _SIP_K1, dtype=np.uint64)
+    tmp = np.empty(n, dtype=np.uint64)
 
     with np.errstate(over="ignore"):
         max_blocks = int(nfull[0])
         for j in range(max_blocks):
             # rows with nfull > j form a prefix of the length-sorted order
             k = int(np.searchsorted(-nfull, -(j + 1), side="right"))
-            m = blocks[bstart[:k] + j]
+            m = _load_blocks(words, word[:k] + j, shift[:k])
             a0, a1, a2, a3 = v0[:k], v1[:k], v2[:k], v3[:k]
             a3 ^= m
-            _sipround_inplace(a0, a1, a2, a3)
-            _sipround_inplace(a0, a1, a2, a3)
+            _sipround_inplace(a0, a1, a2, a3, tmp[:k])
+            _sipround_inplace(a0, a1, a2, a3, tmp[:k])
             a0 ^= m
-        # tail block: the zero-padded remainder bytes + (len & 0xff) << 56
-        b = blocks[bstart + nfull] | (
-            (ln.astype(np.uint64) & _U64(0xFF)) << _U64(56))
+        # tail block: the remainder bytes (the rest masked to the zeros of
+        # the SipHash tail encoding) + (len & 0xff) << 56
+        rem_bits = (ln & 7).astype(np.uint64) << _U64(3)
+        b = _load_blocks(words, word + nfull, shift)
+        b &= (_U64(1) << rem_bits) - _U64(1)
+        b |= (ln.astype(np.uint64) & _U64(0xFF)) << _U64(56)
         v3 ^= b
-        _sipround_inplace(v0, v1, v2, v3)
-        _sipround_inplace(v0, v1, v2, v3)
+        _sipround_inplace(v0, v1, v2, v3, tmp)
+        _sipround_inplace(v0, v1, v2, v3, tmp)
         v0 ^= b
         v2 ^= _U64(0xFF)
         for _ in range(4):
-            _sipround_inplace(v0, v1, v2, v3)
+            _sipround_inplace(v0, v1, v2, v3, tmp)
         out_sorted = v0 ^ v1 ^ v2 ^ v3
 
     out = np.empty(n, dtype=np.uint64)
@@ -198,9 +208,12 @@ def hash64_utf8(arr) -> np.ndarray:
     ``None`` goes through ``hash()`` and is NOT process-stable, so the
     deterministic empty-string reading strictly dominates).
 
-    Parity includes pandas' NUL quirk: ``hash_object_array`` reads strings
-    as null-terminated C strings, so ``"a\\x00b"`` hashes like ``"a"`` —
-    reproduced here by truncating each segment at its first NUL byte.
+    Parity includes pandas' NUL quirk as far as it is a function of the
+    string: ``hash_array`` factorizes with a C-string hash table first, so
+    ``"a\\x00b"`` takes the hash of ``"a"`` when ``"a"`` comes earlier in
+    the batch (and its own full-length hash when nothing C-string-equal
+    does). Each segment is truncated here at its first NUL byte, which
+    matches pandas whenever the NUL-free prefix comes first.
     (:func:`fast_hash64_utf8` deliberately does NOT reproduce this: texts
     differing after an embedded NUL are different documents.)
 
@@ -254,11 +267,7 @@ def fast_hash64_utf8(arr) -> np.ndarray:
     nb = nfull + 1  # +1: the (possibly empty) tail block
     bstart = np.concatenate([[0], np.cumsum(nb)])[:-1]
 
-    # tail-padded contiguous copy: unaligned block at byte offset o reads
-    # as (A[o>>3] >> 8(o&7)) | (A[(o>>3)+1] << (64-8(o&7)))
-    data2 = np.zeros((len(data) // 8 + 3) * 8, dtype=np.uint8)
-    data2[:len(data)] = data
-    A = data2.view(np.uint64)
+    A = _padded_words(data)
 
     # block index math: o = starts + 8*pos, and since 8*pos = 0 (mod 8),
     # t = o>>3 = (starts>>3) + pos and the shift s = starts&7 per row —
@@ -268,8 +277,7 @@ def fast_hash64_utf8(arr) -> np.ndarray:
     t = (st_rep >> 3) + pos
     sh = ((st_rep & 7) << 3).astype(np.uint64)
     with np.errstate(over="ignore"):
-        # ((x << (63-sh)) << 1) == x << (64-sh), valid at sh == 0 too
-        m = (A[t] >> sh) | ((A[t + 1] << (_U64(63) - sh)) << _U64(1))
+        m = _load_blocks(A, t, sh)
         # tail blocks: zero the garbage past the string's last rem bytes —
         # an n-sized scatter (tail block = last block of each row)
         tail_idx = bstart + nfull

@@ -42,6 +42,9 @@ MAX_COMPRESSION = 10000
 TDIGEST_STORES_MEAN = 0x0001
 TDIGEST_VALID_FLAGS = TDIGEST_STORES_MEAN
 
+#: bit pattern of -0.0 read as int64, the one float equal to a different one
+_NEG_ZERO_BITS = np.int64(-(2**63))
+
 
 def buffer_size(compression: int) -> int:
     """Buffer slots for incoming data (tdigest.c:107)."""
@@ -312,27 +315,42 @@ class TDigest:
 
         Mirrors ``tdigest_add_double_array_count`` (tdigest.c:1672-1753):
         values are expanded to singleton centroids one weight at a time (no
-        generate fast path for the array variant, comment tdigest.c:1739-1746)
-        — here each value's expansion is vectorized with identical compaction
-        boundaries.
+        generate fast path for the array variant, comment tdigest.c:1739-1746).
+        Here each buffer fill is one ``np.repeat`` of the pairs it covers, so
+        the compaction boundaries are those of the one-at-a-time expansion
+        and a huge count is never expanded beyond the free buffer space.
         """
         values = np.asarray(values, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.int64)
         if (counts <= 0).any():
             bad = int(counts[counts <= 0][0])
             raise ValueError(f"invalid count value {bad}, must be a positive value")
+        npairs = min(len(values), len(counts))  # zip() semantics
+        values, counts = values[:npairs], counts[:npairs]
+        if np.isnan(values).any():
+            raise ValueError("NaN values cannot be added to a t-digest")
+        if npairs == 0:
+            return
         cap = len(self._means)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            remaining = c
-            while remaining > 0:
-                if self._n == cap:
-                    self.compress()
-                k = min(cap - self._n, remaining)
-                self._means[self._n : self._n + k] = v
-                self._counts[self._n : self._n + k] = 1
-                self._n += k
-                self.count += k
-                remaining -= k
+        # pair i expands to the flat positions [begins[i], ends[i])
+        ends = np.cumsum(counts)
+        begins = ends - counts
+        total = int(ends[-1])
+        pos = 0
+        while pos < total:
+            if self._n == cap:
+                self.compress()
+            k = min(cap - self._n, total - pos)
+            # pairs i..j-1 overlap the flat positions [pos, pos + k)
+            i = int(ends.searchsorted(pos, side="right"))
+            j = int(begins.searchsorted(pos + k, side="left"))
+            reps = (np.minimum(ends[i:j], pos + k)
+                    - np.maximum(begins[i:j], pos))
+            self._means[self._n : self._n + k] = np.repeat(values[i:j], reps)
+            self._counts[self._n : self._n + k] = 1
+            self._n += k
+            self.count += k
+            pos += k
 
     def merge_digest(self, other: "TDigest") -> None:
         """Merge another digest into this one.
@@ -354,40 +372,71 @@ class TDigest:
 
     def _sort(self) -> None:
         """Sort centroids by (mean, count) and rebalance equal-mean runs
-        around the median (tdigest.c:281-414)."""
+        around the median (tdigest.c:281-414).
+
+        The result is the ``lexsort((counts, means))`` order, byte for
+        byte. When there is a tail past the compacted prefix, it holds only
+        count-1 items (what ``add``/``add_many``/``add_weighted`` append)
+        and no mean is -0.0, equal means are equal bytes, so one unstable
+        sort of the means gives lexsort's means; each prefix centroid then
+        takes its (mean, count) place at the end of its equal-mean run,
+        after the count-1 items. Only the prefix (~compression items) goes
+        through ``lexsort``. The equal-mean run pass costs a few calls
+        whatever the number of runs: runs wholly above the median are one
+        gathered reversal, and only the run that straddles the median goes
+        through :meth:`_rebalance`.
+        """
         n = self._n
         means = self._means[:n]
         if n < 2 or np.count_nonzero(means[1:] > means[:-1]) == n - 1:
             return  # strictly increasing: the sort below is the identity
         counts = self._counts[:n]
-        order = np.lexsort((counts, means))
-        means[:] = means[order]
-        counts[:] = counts[order]
+        p = min(self.ncompacted, n)
+        if (p < n and np.count_nonzero(counts[p:] != 1) == 0
+                and not (means.view(np.int64) == _NEG_ZERO_BITS).any()):
+            order = np.lexsort((counts[:p], means[:p]))
+            pm = means[:p][order]
+            pc = counts[:p][order]
+            means.sort()
+            counts.fill(1)
+            # prefix centroids from each one to the end of its run
+            to_run_end = pm.searchsorted(pm, side="right") - np.arange(p)
+            counts[means.searchsorted(pm, side="right") - to_run_end] = pc
+        else:
+            order = np.lexsort((counts, means))
+            means[:] = means[order]
+            counts[:] = counts[order]
 
-        # Fast path: all means distinct -> plain sort is final.
-        if not (means[1:] == means[:-1]).any():
-            return
-
-        median_count = self.count // 2
-        # run boundaries of equal means
-        boundaries = np.flatnonzero(means[1:] != means[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [n]))
+        same = means[1:] == means[:-1]
+        if not same.any():
+            return  # all means distinct: the plain sort is final
+        # A run of equal means [s, e) with count_so_far items before it is
+        # reversed when count_so_far >= median and rebalanced when it
+        # straddles the median. With q the first centroid whose cumulative
+        # count reaches the median, that is: the run holding q straddles
+        # it (unless median is 0), and every run after it is reversed.
         cum = np.cumsum(counts)
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            group_size = e - s
-            if group_size <= 1:
-                continue
-            count_so_far = int(cum[s - 1]) if s > 0 else 0
-            next_group = int(cum[e - 1])
-            if count_so_far >= median_count:
-                # group fully above median — reverse the order
-                means[s:e] = means[s:e][::-1]
-                counts[s:e] = counts[s:e][::-1]
-            elif next_group >= median_count:
-                self._rebalance(
-                    s, e, median_count - count_so_far, next_group - median_count
-                )
+        median_count = self.count // 2
+        q = int(cum.searchsorted(median_count))
+        if q == n:
+            return
+        s = int(means.searchsorted(means[q]))
+        e = int(means.searchsorted(means[q], side="right"))
+        if median_count <= 0:
+            e = 0  # every run has count_so_far >= 0: reverse them all
+        elif e - s > 1:
+            before = int(cum[s - 1]) if s else 0
+            self._rebalance(s, e, median_count - before,
+                            int(cum[e - 1]) - median_count)
+        if same[e:].any():
+            # reverse every run in [e, n) with one gather: position i of
+            # a run [a, b) takes the item at a + b - 1 - i
+            upper = means[e:]
+            src = (upper.searchsorted(upper)
+                   + upper.searchsorted(upper, side="right")
+                   - 1 - np.arange(n - e))
+            means[e:] = upper[src]
+            counts[e:] = counts[e:][src]
 
     def _rebalance(self, s: int, e: int, weight_before: int, weight_after: int) -> None:
         """Mirror of ``rebalance_centroids`` (tdigest.c:298-339)."""
@@ -437,11 +486,21 @@ class TDigest:
         centroid while ``z <= q0(1-q0) && z <= q2(1-q2)`` — is equivalent to
         bounding each output group's total weight by ``min(r1, r2)`` where
         r1 solves the q0 condition and r2 the q2 quadratic, exactly the
-        closed form ``tdigest_generate`` uses (tdigest.c:1083-1127). That
-        turns the O(buffer) Python loop into one ``searchsorted`` per OUTPUT
-        centroid plus ``np.add.reduceat`` group folds (~4x faster per
-        compaction; identical criterion up to float rounding at group
-        boundaries).
+        closed form ``tdigest_generate`` uses (tdigest.c:1083-1127). A group
+        starting at centroid ``i`` holds the items already counted before it
+        (``base``) plus at most that bound, so it ends at the first ``k > i``
+        whose cumulative count exceeds ``wmax(i) = base + min(r1, r2)``.
+
+        That end is computed for every start at once, as a jump table: the
+        ``wmax`` of all positions in a few array expressions (the same float
+        operations, in the same order, as a scalar walk), then one
+        ``searchsorted`` of ``floor(wmax)`` into the integer cumulative
+        counts. Comparing integers with the floor is exact, where comparing
+        them with the float would round counts at or above 2^53; from 2^53
+        on, ``base * base`` is also squared exactly (as Python ints) before
+        rounding, as the scalar walk does. The group starts are then one
+        pointer chase from 0 through the table, and the groups fold with
+        ``np.add.reduceat``.
         """
         if self.ncompacted == self._n:
             return
@@ -470,30 +529,34 @@ class TDigest:
         T = float(total)
         tt_norm = T * T * normalizer
         inv_norm = 1.0 / normalizer
-        Clist = C.tolist()  # bisect on a list avoids np dispatch overhead
-        from bisect import bisect_right
-
-        sqrt = math.sqrt
+        base = np.empty(n)  # items before each position, as a float
+        base[0] = 0.0
+        base[1:] = C[:-1]
+        if total < 1 << 53:
+            square = base * base  # exact operands: the rounded exact square
+        else:
+            square = np.array([0.0] + [float(v * v) for v in C[:-1].tolist()])
+        q0 = base / T
+        r1 = q0 * (1.0 - q0) * inv_norm
+        b = T - 2.0 * base - tt_norm
+        cc = base * T - square
+        disc = np.sqrt(b * b + 4.0 * cc)
+        r2 = (b + disc) * 0.5  # larger root of -x^2 + bx + cc
+        wmax = base + np.minimum(r1, r2)
+        # C[k] > wmax  <=>  C[k] > floor(wmax) for integer C[k]; the clip
+        # below 2^63 keeps the int64 cast defined
+        limit = np.minimum(np.floor(wmax), 2.0**63 - 1024.0).astype(np.int64)
+        jump = C.searchsorted(limit, side="right")
         starts: list[int] = []
         append = starts.append
         i = 0
         while i < n:
-            base = Clist[i - 1] if i else 0.0
-            q0 = base / T
-            r1 = q0 * (1.0 - q0) * inv_norm
-            b = T - 2.0 * base - tt_norm
-            cc = base * T - base * base
-            disc = sqrt(b * b + 4.0 * cc)
-            r2 = (b + disc) * 0.5  # larger root of -x^2 + bx + cc
-            wmax = base + (r1 if r1 < r2 else r2)
-            j = bisect_right(Clist, wmax, i + 1)
             append(i)
-            i = j
+            j = jump.item(i)
+            i = j if j > i else i + 1  # a group holds at least centroid i
 
         sidx = np.asarray(starts, dtype=np.int64)
-        ends = np.concatenate([C[sidx[1:] - 1], C[-1:]])
-        begins = np.concatenate([[0], C[sidx[1:] - 1]])
-        gcounts = (ends - begins).astype(np.int64)
+        gcounts = np.add.reduceat(c, sidx)
         sums = np.add.reduceat(m * c.astype(np.float64), sidx)
         gmeans = sums / gcounts
         # equal means are never re-averaged (tdigest.c:495-516): a group of

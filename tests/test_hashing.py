@@ -80,6 +80,59 @@ class TestSipHashParity:
         h = hash64_utf8(arr)
         assert h[1] == h[2]
 
+    @staticmethod
+    def _assert_parity(arr, texts):
+        expect = hash64(np.asarray(texts, dtype=object))
+        assert (hash64_utf8(arr) == expect).all()
+        assert (hash64_utf8(arr.cast(pa.large_string())) == expect).all()
+
+    @pytest.mark.parametrize("length", [0, 7, 8, 9, 15, 16, 17, 64, 65, 200])
+    def test_block_boundary_lengths(self, length):
+        # each length alone, then beside longer and shorter rows, so the
+        # last full block and the tail block are met in every round
+        rng = random.Random(length)
+        text = "".join(rng.choices(string.ascii_letters, k=length))
+        texts = [text, text[:3], text + "é", "y" * 70, text]
+        self._assert_parity(pa.array([text], pa.string()), [text])
+        self._assert_parity(pa.array(texts, pa.string()), texts)
+
+    @pytest.mark.parametrize("residue", range(8))
+    def test_slice_at_every_byte_residue(self, residue):
+        # 8 one-byte rows first: slicing at `residue` rows starts the
+        # slice's data at byte offset `residue` of the buffer
+        texts = ["p"] * 8 + [t for t in _corpus(9)[:120]]
+        arr = pa.array(texts, pa.string())
+        part = arr.slice(residue)
+        assert part.offset == residue
+        assert np.frombuffer(part.buffers()[1], np.int32)[residue] == residue
+        self._assert_parity(part, texts[residue:])
+
+    def test_buffer_ending_on_a_word_boundary(self):
+        for texts in (["abc", "defgh"], ["x" * 8] * 8, ["a" * 13, "b" * 11]):
+            arr = pa.array(texts, pa.string())
+            assert arr.buffers()[2].size % 8 == 0
+            self._assert_parity(arr, texts)
+
+    def test_embedded_nuls(self):
+        # hash_array factorizes an object array with a C-string hash table
+        # first, so a string with a NUL takes the hash of the first string
+        # of the batch that reads the same up to that NUL; hash64_utf8
+        # hashes the bytes before the first NUL. The two agree when each
+        # prefix comes first, as here.
+        prefixes = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "x" * 16]
+        texts = prefixes + [
+            "a\x00b", "\x00", "\x00abc", "abcdefgh\x00ijk", "abcdefghi\x00",
+            "abcdefg\x00", "x" * 16 + "\x00" * 3, "a\x00b\x00c"]
+        self._assert_parity(pa.array(texts, pa.string()), texts)
+        h = hash64_utf8(pa.array(texts, pa.string()))
+        assert h[texts.index("abcdefgh\x00ijk")] == h[texts.index("abcdefgh")]
+
+    def test_large_string(self):
+        texts = _corpus(10)[len(EDGE_TEXTS):]  # NUL-free
+        arr = pa.array(texts, pa.large_string())
+        self._assert_parity(arr, texts)
+        self._assert_parity(arr.slice(5, 100), texts[5:105])
+
 
 class TestFastHashDedupParity:
     @pytest.mark.parametrize("seed", [3, 4, 5])

@@ -5,7 +5,11 @@ exact count conservation, quantile bounds/monotonicity, serde round-trips,
 merge tolerance, and the no-false-negative / overestimate-only guarantees.
 """
 
+import bisect
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdigest_ray.functions import serde
@@ -13,7 +17,7 @@ from tdigest_ray.sketches.bloom import BloomFilter
 from tdigest_ray.sketches.countmin import CountMin
 from tdigest_ray.sketches.hll import HLL
 from tdigest_ray.sketches.kll import KLL
-from tdigest_ray.sketches.tdigest import TDigest
+from tdigest_ray.sketches.tdigest import TDigest, from_value_count
 
 finite_floats = st.floats(min_value=-1e12, max_value=1e12,
                           allow_nan=False, allow_infinity=False)
@@ -151,6 +155,209 @@ class TestTDigestProperties:
         assert rt.cdf(xs).tolist() == d.cdf(xs).tolist()
         assert rt.trimmed_sum(*trim) == d.trimmed_sum(*trim)
         assert rt.trimmed_avg(*trim) == d.trimmed_avg(*trim)
+
+
+class _OracleTDigest(TDigest):
+    """The build as a per-item transcription: a full ``lexsort``, a Python
+    loop over equal-mean runs, a per-output-centroid ``bisect`` walk and a
+    per-pair ``add_weighted`` loop. The library must produce its bytes."""
+
+    def add_weighted(self, values, counts):
+        cap = len(self._means)
+        for v, c in zip(np.asarray(values, float).tolist(),
+                        np.asarray(counts, np.int64).tolist()):
+            remaining = c
+            while remaining > 0:
+                if self._n == cap:
+                    self.compress()
+                k = min(cap - self._n, remaining)
+                self._means[self._n:self._n + k] = v
+                self._counts[self._n:self._n + k] = 1
+                self._n += k
+                self.count += k
+                remaining -= k
+
+    def _sort(self):
+        n = self._n
+        means, counts = self._means[:n], self._counts[:n]
+        order = np.lexsort((counts, means))
+        means[:] = means[order]
+        counts[:] = counts[order]
+        if not (means[1:] == means[:-1]).any():
+            return
+        median_count = self.count // 2
+        boundaries = np.flatnonzero(means[1:] != means[:-1]) + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [n]))
+        cum = np.cumsum(counts)
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            if e - s <= 1:
+                continue
+            count_so_far = int(cum[s - 1]) if s > 0 else 0
+            next_group = int(cum[e - 1])
+            if count_so_far >= median_count:
+                means[s:e] = means[s:e][::-1]
+                counts[s:e] = counts[s:e][::-1]
+            elif next_group >= median_count:
+                self._rebalance(s, e, median_count - count_so_far,
+                                next_group - median_count)
+
+    def compress(self):
+        if self.ncompacted == self._n:
+            return
+        self._sort()
+        self.ncompactions += 1
+        n, total = self._n, self.count
+        if total <= 1 or n <= 1:
+            self.ncompacted = n
+            return
+        normalizer = self.compression / (
+            2.0 * math.pi * total * math.log(total))
+        backward = self.ncompactions % 2 == 1
+        step = -1 if backward else 1
+        m = self._means[:n][::step].copy()
+        c = self._counts[:n][::step].copy()
+        clist = np.cumsum(c).tolist()
+        T = float(total)
+        tt_norm = T * T * normalizer
+        inv_norm = 1.0 / normalizer
+        starts = []
+        i = 0
+        while i < n:
+            base = clist[i - 1] if i else 0.0
+            q0 = base / T
+            r1 = q0 * (1.0 - q0) * inv_norm
+            b = T - 2.0 * base - tt_norm
+            cc = base * T - base * base
+            r2 = (b + math.sqrt(b * b + 4.0 * cc)) * 0.5
+            wmax = base + (r1 if r1 < r2 else r2)
+            starts.append(i)
+            i = bisect.bisect_right(clist, wmax, i + 1)
+        sidx = np.asarray(starts)
+        gcounts = np.diff(np.append(np.cumsum(c)[sidx - 1] * (sidx > 0), total))
+        gmeans = np.add.reduceat(m * c.astype(float), sidx) / gcounts
+        gmin = np.minimum.reduceat(m, sidx)
+        same = gmin == np.maximum.reduceat(m, sidx)
+        gmeans[same] = gmin[same]  # equal means are never re-averaged
+        k = len(sidx)
+        self._means[:k] = gmeans[::step]
+        self._counts[:k] = gcounts[::step]
+        self._n = self.ncompacted = k
+
+
+def _shaped_values(shape, size, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "uniform":
+        return rng.random(size)
+    if shape == "few":  # equal-mean runs, including zeros of both signs
+        return rng.choice([-2.0, -0.0, 0.0, 1.0, 3.5], size)
+    if shape == "sorted":
+        return np.sort(rng.normal(size=size))
+    if shape == "reversed":
+        return np.sort(rng.lognormal(size=size))[::-1].copy()
+    return np.round(rng.normal(size=size), 1)  # many short runs
+
+
+_shapes = st.sampled_from(["uniform", "few", "sorted", "reversed", "rounded"])
+_build_ops = st.lists(st.tuples(
+    st.sampled_from(["add_many", "add_weighted", "add", "merge_digest",
+                     "compress"]),
+    _shapes, st.floats(0, 3), st.integers(0, 2**16)), min_size=1, max_size=8)
+
+
+def _state(d):
+    m, c = d.centroids()
+    return m.tobytes(), c.tobytes(), d.count, d.ncompactions, d.ncompacted
+
+
+class TestBuildByteIdentity:
+    """The library's build gives the bytes of :class:`_OracleTDigest`."""
+
+    @staticmethod
+    def _apply(d, op, shape, scale, seed):
+        cap = 10 * d.compression
+        size = 1 + int(scale * cap)  # up to three buffer fills
+        if op == "add_many":
+            d.add_many(_shaped_values(shape, size, seed))
+        elif op == "add_weighted":
+            rng = np.random.default_rng(seed + 1)
+            values = _shaped_values(shape, size, seed)
+            d.add_weighted(values, rng.integers(1, 2 + seed % 40, size))
+        elif op == "add":  # count above the buffer size takes generate
+            d.add(float(_shaped_values(shape, 1, seed)[0]), size)
+        elif op == "merge_digest":
+            other = TDigest(10 + seed % 300)
+            other.add_many(_shaped_values(shape, size, seed))
+            if seed % 2:
+                other.compress()
+            d.merge_digest(other)
+        else:
+            d.compress()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_build_ops, compression=st.integers(10, 1000),
+           start=st.one_of(st.none(),
+                           st.tuples(_shapes, st.integers(1, 400),
+                                     st.integers(0, 2**16))))
+    def test_same_bytes_as_oracle(self, ops, compression, start):
+        if start is None:
+            got, want = TDigest(compression), _OracleTDigest(compression)
+        else:  # a restored state with nothing compacted yet
+            shape, size, seed = start
+            size = min(size, 10 * compression)
+            means = np.sort(_shaped_values(shape, size, seed))
+            counts = np.random.default_rng(seed).integers(1, 9, size)
+            got = TDigest.from_centroids(compression, means, counts,
+                                         ncompacted=0)
+            want = _OracleTDigest.from_centroids(compression, means, counts,
+                                                 ncompacted=0)
+        for op in ops:
+            for d in (got, want):
+                self._apply(d, *op)
+            assert _state(got) == _state(want), op
+        got.compress()
+        want.compress()
+        assert _state(got) == _state(want)
+
+    @pytest.mark.parametrize("means,counts", [
+        ([5.0, 1.0, 5.0], [3, 3, 1]),  # run starts exactly at the median
+        ([5.0, 1.0, 5.0, 5.0], [3, 2, 1, 2]),  # run straddles it
+        ([2.0, 2.0, 0.0, 2.0, 9.0, 9.0], [1, 4, 2, 2, 1, 3]),
+    ])
+    def test_equal_mean_runs_around_the_median(self, means, counts):
+        # trimmed_sum sorts without compacting, so the order of each run
+        # shows: reversed above the median, rebalanced across it
+        states = []
+        for cls in (TDigest, _OracleTDigest):
+            d = cls.from_centroids(10, np.asarray(means), np.asarray(counts),
+                                   ncompacted=0)
+            d.trimmed_sum(0.0, 1.0)
+            states.append(_state(d))
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("value,count", [
+        (1.5, 2**53 + 12345), (0.25, 2**60 + 7), (3.0, 10**17 + 1)])
+    def test_totals_above_2_53(self, value, count):
+        # The walk compares cumulative counts with float bounds exactly and
+        # squares them exactly; above 2^53 float arithmetic would round the
+        # counts. The first digest starts from the one-pass generation of a
+        # single value, the second re-inserts it into another compression.
+        states = []
+        for cls in (TDigest, _OracleTDigest):
+            if cls is TDigest:
+                d = from_value_count(100, value, count)
+            else:
+                d = cls(100)
+                d.add(value, count)
+            d.add_many(np.linspace(0.0, 5.0, 3000))
+            d.compress()
+            e = cls(50)
+            e.add(value, count)
+            e.merge_digest(d)
+            e.compress()
+            states.append((_state(d), _state(e)))
+        assert states[0][0][2] == count + 3000
+        assert states[0] == states[1]
 
 
 class TestSiblingProperties:

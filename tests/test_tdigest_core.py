@@ -525,6 +525,14 @@ class TestEdgeCases:
             d.add(float("nan"))
         with pytest.raises(ValueError):
             d.add_many(np.asarray([1.0, float("nan")]))
+        # a NaN pair is refused before anything is appended, so no digest
+        # that serde cannot read back is ever written
+        d.add_many([0.5, 2.5])
+        with pytest.raises(ValueError,
+                           match="NaN values cannot be added to a t-digest"):
+            d.add_weighted([1.0, float("nan"), 3.0], [2, 3, 1])
+        assert d.count == 2 and d.ncentroids == 2
+        assert serde.from_bytes(serde.to_bytes(d)) == d
 
     def test_count_preserved_exactly(self):
         # sum(centroid counts) == count through adds, merges, compactions
