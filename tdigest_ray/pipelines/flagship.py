@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.dataset as pads
 
 import ray
 
@@ -187,15 +188,29 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
              nsalt: int = 16, num_blocks: int | None = None):
     """pages Dataset/path -> per-language quantile summary table.
 
-    ``num_blocks`` repartitions explicitly after the read — use ~4-16 blocks
-    per CPU when input files are too few/too coarse for the cluster (the
-    partial-digest stage parallelizes per block)."""
+    A path is read with one read task per Parquet file, fused with the
+    feature and partial-digest stages: each file yields one partial digest
+    per language (a file over Ray's 128 MiB block target still comes out
+    in several blocks). ``num_blocks`` reads that many blocks instead,
+    splitting or grouping files without a repartition barrier: the
+    override for many small files, or for few huge files on a wide
+    cluster (a case whose best split is unmeasured). A Dataset input is
+    repartitioned to ``num_blocks`` when it is given (the partial-digest
+    stage parallelizes per block)."""
     from tdigest_ray.stages.partial import grouped_digests_fast
 
     if isinstance(pages, str):
+        # Ray's own split is size-driven (at least 200 blocks, none under
+        # 1 MiB): it cut a 12 MB, 4-file input into 24 blocks even at
+        # 1 CPU, each paying a partial digest per language and shuffle
+        # fixed costs. pyarrow's listing is the one Ray reads, skipping
+        # _- and .-prefixed names such as _SUCCESS.
         cols = ["html", "lang"] if from_html else ["text", "lang"]
-        pages = ray.data.read_parquet(pages, columns=cols)
-    if num_blocks:
+        blocks = num_blocks or len(pads.dataset(pages,
+                                                format="parquet").files)
+        pages = ray.data.read_parquet(pages, columns=cols,
+                                      override_num_blocks=blocks)
+    elif num_blocks:
         pages = pages.repartition(num_blocks)
     # the features follow from the input's columns, known without running
     # anything for a read: no limit(1) probe of the feature stage

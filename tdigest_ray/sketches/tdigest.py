@@ -322,14 +322,15 @@ class TDigest:
         """
         values = np.asarray(values, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.int64)
+        if len(values) != len(counts):
+            raise ValueError(f"{len(values)} values but {len(counts)} counts: "
+                             "add_weighted needs one count per value")
         if (counts <= 0).any():
             bad = int(counts[counts <= 0][0])
             raise ValueError(f"invalid count value {bad}, must be a positive value")
-        npairs = min(len(values), len(counts))  # zip() semantics
-        values, counts = values[:npairs], counts[:npairs]
         if np.isnan(values).any():
             raise ValueError("NaN values cannot be added to a t-digest")
-        if npairs == 0:
+        if len(values) == 0:
             return
         cap = len(self._means)
         # pair i expands to the flat positions [begins[i], ends[i])

@@ -65,9 +65,3 @@ def add_features(batch: pa.Table, text_col: str = "text",
             pc.cast(pc.binary_length(batch.column(html_col)), pa.int64()),
         )
     return batch
-
-
-def project_features(batch: pa.Table, keep: list[str]) -> pa.Table:
-    """Column projection helper (drop the heavy html/text payloads before any
-    shuffle — SURVEY.md §7.3 'very wide records at scale')."""
-    return batch.select([c for c in keep if c in batch.column_names])

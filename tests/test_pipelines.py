@@ -445,7 +445,10 @@ def test_flagship_on_path_executes_once(pages_dir, tmp_path, monkeypatch):
     log = str(tmp_path / "calls")
     monkeypatch.setattr(flagship, "add_features",
                         _counting(log, flagship.add_features))
-    read = ray.data.read_parquet(pages_dir, columns=["html", "lang"])
+    # the read flagship() makes: one read task per file
+    read = ray.data.read_parquet(pages_dir, columns=["html", "lang"],
+                                 override_num_blocks=len(
+                                     _page_files(pages_dir)))
     blocks = read.materialize().num_blocks()
     flagship.prepare_features(read, from_html=True).materialize()
     once = _calls(log)
@@ -453,6 +456,40 @@ def test_flagship_on_path_executes_once(pages_dir, tmp_path, monkeypatch):
     out = flagship.flagship(pages_dir).take_all()
     assert {"text_len_p50", "token_count_p50", "html_size_p50"} <= set(out[0])
     assert _calls(log) == 2 * once
+
+
+def _plan_names(ds) -> list:
+    """The logical operator names of ``ds``'s linear plan, last first."""
+    op, names = ds._logical_plan.dag, []
+    while op is not None:
+        names.append(op.name)
+        op = op.input_dependencies[0] if op.input_dependencies else None
+    return names
+
+
+@pytest.mark.parametrize("num_blocks", [None, 2, 8])
+def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
+                                           num_blocks):
+    """A path is read one block per Parquet file (``_SUCCESS`` is not a
+    file), not in Ray's size-driven split; ``num_blocks`` reads that many
+    blocks directly. Either way the partial-digest UDF runs once per block
+    and no repartition runs ahead of it."""
+    from tdigest_ray.stages import partial
+
+    assert len(_page_files(pages_dir)) == 4
+    log = str(tmp_path / "calls")
+    real = partial.make_partial_digest_fn
+
+    def counted_partial(*args, **kwargs):
+        return _counting(log, real(*args, **kwargs))
+
+    monkeypatch.setattr(partial, "make_partial_digest_fn", counted_partial)
+    out = flagship.flagship(pages_dir, num_blocks=num_blocks)
+    assert out.count() > 0
+    assert _calls(log) == (num_blocks or 4)
+    names = _plan_names(out)
+    upstream = names[names.index("MapBatches(counted)"):]
+    assert upstream[-1] == "ReadParquet" and "Repartition" not in upstream
 
 
 @pytest.mark.parametrize("unknown_schema", [False, True])

@@ -354,6 +354,20 @@ class TestWeighted:
         with pytest.raises(ValueError, match="must be a positive value"):
             d.add_weighted([1.0], [-1])
 
+    def test_weighted_length_mismatch_rejected(self):
+        # one count per value: a surplus value or count is an error, raised
+        # before anything is appended
+        d = TDigest(100)
+        d.add_many([0.5, 2.5])
+        before = serde.to_bytes(d)
+        for values, counts in (([1.0, 2.0, 3.0], [1, 1]), ([1.0], [1, 2])):
+            with pytest.raises(ValueError,
+                               match=f"{len(values)} values but "
+                                     f"{len(counts)} counts"):
+                d.add_weighted(values, counts)
+            assert serde.to_bytes(d) == before
+            assert d.count == 2 and d.ncentroids == 2
+
 
 # --------------------------------------------------------------------- #
 # trimmed aggregates (trimmed_aggregates.sql)
