@@ -5,7 +5,7 @@ Example::
     ray job submit --working-dir . -- \
         python scripts/run_flagship.py \
         --input /data/pages --output /data/digests \
-        --checkpoint-dir /data/ckpt --compression 100 --salted
+        --checkpoint-dir /data/ckpt --compression 100
 
 Runs the per-language digest rollup over a Common-Crawl-style pages table
 with checkpointed, resumable execution: one atomic Parquet part per input
@@ -41,8 +41,6 @@ def main() -> None:
     ap.add_argument("--checkpoint-dir", default=None,
                     help="enable per-input-file checkpoint/resume")
     ap.add_argument("--compression", type=int, default=100)
-    ap.add_argument("--salted", action="store_true",
-                    help="two-level salted merge for hot language keys")
     ap.add_argument("--percentiles", type=float, nargs="*",
                     default=[0.5, 0.95, 0.99])
     args = ap.parse_args()
@@ -51,7 +49,7 @@ def main() -> None:
         ray.init(include_dashboard=False)
 
     from tdigest_ray.pipelines import flagship
-    from tdigest_ray.state import checkpoint, metrics
+    from tdigest_ray.state import checkpoint
 
     t0 = time.perf_counter()
     if args.checkpoint_dir:
@@ -80,7 +78,7 @@ def main() -> None:
     else:
         summary = flagship.flagship(
             args.input, compression=args.compression, from_html=True,
-            percentiles=args.percentiles, salted=args.salted)
+            percentiles=args.percentiles)
         rows_in = None
 
     # crash-safe: stream into a temp dir and swap only after success, so

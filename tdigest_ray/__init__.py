@@ -11,7 +11,7 @@ Public surface:
 * :mod:`tdigest_ray.stages` — map_batches transforms: feature extraction,
   text stats, dedup, similarity search, multimodal plumbing.
 * :mod:`tdigest_ray.pipelines` — composed pipelines (flagship pages rollup).
-* :mod:`tdigest_ray.state` — checkpoint/resume manifests + metrics.
+* :mod:`tdigest_ray.state` — checkpoint/resume manifests.
 * :mod:`tdigest_ray.sources` — deterministic synthetic sources.
 """
 

@@ -12,10 +12,11 @@ Ray translation of the reference's pre-aggregation rollup
 4. finalize projections (quantiles / ranks / trimmed moments per group).
 
 Skew note: web language keys are Zipfian (en >> rest). The shuffle payload
-is already one digest per (block x lang) regardless of row skew, so the hot
-key costs merge CPU, not network. For ultra-hot keys
-:func:`grouped_digests_salted` splits each language into ``nsalt``
-sub-digests merged in a second (tiny) pass.
+is already one digest per (block x lang) regardless of row skew, and the
+partial rows are coalesced to at most ``min(CPUs, 64)`` blocks before the
+merge, so the hot key's reducer merges at most that many states. Salting
+the hot key into sub-digests measured slower, not faster (see
+``stages.partial.grouped_digests_fast``), so the merge does no salting.
 """
 
 from __future__ import annotations
@@ -79,18 +80,6 @@ def _empty_digests(schema, group_col: str, features) -> pa.Table:
     return pa.table(cols)
 
 
-def _grouped(ds, group_col, features, compression, nsalt):
-    """The one distributed grouped route (``nsalt=0``: unsalted)."""
-    from tdigest_ray.stages.partial import grouped_digests_fast
-
-    schema = ds.schema()
-    present = _checked_features(schema, features)
-    if schema is None:
-        return ray.data.from_arrow(_empty_digests(schema, group_col, present))
-    return grouped_digests_fast(ds, group_col, present, compression,
-                                nsalt=nsalt)
-
-
 def grouped_digests(ds, group_col: str = "lang",
                     features=DEFAULT_FEATURES, compression: int = 100):
     """One digest column per feature, grouped — `tdigest(v, c) GROUP BY lang`.
@@ -99,7 +88,13 @@ def grouped_digests(ds, group_col: str = "lang",
     groupby only ever sees #blocks x #keys partial digest rows, so CPU/row
     stays flat as blocks grow (Ray's built-in grouped aggregate walks block
     rows in Python to find group boundaries)."""
-    return _grouped(ds, group_col, features, compression, 0)
+    from tdigest_ray.stages.partial import grouped_digests_fast
+
+    schema = ds.schema()
+    present = _checked_features(schema, features)
+    if schema is None:
+        return ray.data.from_arrow(_empty_digests(schema, group_col, present))
+    return grouped_digests_fast(ds, group_col, present, compression)
 
 
 def grouped_digests_table(ds, group_col: str = "lang",
@@ -142,16 +137,6 @@ def grouped_digests_table(ds, group_col: str = "lang",
     return merge_partial_digest_table(tbl, [group_col], present)
 
 
-def grouped_digests_salted(ds, group_col: str = "lang",
-                           features=DEFAULT_FEATURES, compression: int = 100,
-                           nsalt: int = 16):
-    """:func:`grouped_digests` with the salted two-level merge tree
-    (``grouped_digests_fast(nsalt=...)``; see there for when it pays).
-    Salted and unsalted results agree: counts exact, quantiles within
-    digest error (pinned in tests)."""
-    return _grouped(ds, group_col, features, compression, nsalt)
-
-
 def finalize_quantiles(digest_table, features=DEFAULT_FEATURES,
                        percentiles=DEFAULT_PERCENTILES,
                        group_col: str = "lang"):
@@ -184,19 +169,17 @@ def finalize_quantiles(digest_table, features=DEFAULT_FEATURES,
 
 
 def flagship(pages, compression: int = 100, from_html: bool = True,
-             percentiles=DEFAULT_PERCENTILES, salted: bool = False,
-             nsalt: int = 16, num_blocks: int | None = None):
+             percentiles=DEFAULT_PERCENTILES):
     """pages Dataset/path -> per-language quantile summary table.
 
     A path is read with one read task per Parquet file, fused with the
     feature and partial-digest stages: each file yields one partial digest
     per language (a file over Ray's 128 MiB block target still comes out
-    in several blocks). ``num_blocks`` reads that many blocks instead,
-    splitting or grouping files without a repartition barrier: the
-    override for many small files, or for few huge files on a wide
-    cluster (a case whose best split is unmeasured). A Dataset input is
-    repartitioned to ``num_blocks`` when it is given (the partial-digest
-    stage parallelizes per block)."""
+    in several blocks). A Dataset is used in the blocks it has: to split
+    the input another way (many small files, or few huge files on a wide
+    cluster, a case whose best split is unmeasured), pass a Dataset built
+    with ``read_parquet(..., override_num_blocks=k)`` or ``repartition``;
+    the partial-digest stage makes one digest per (block, language)."""
     from tdigest_ray.stages.partial import grouped_digests_fast
 
     if isinstance(pages, str):
@@ -206,17 +189,13 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
         # fixed costs. pyarrow's listing is the one Ray reads, skipping
         # _- and .-prefixed names such as _SUCCESS.
         cols = ["html", "lang"] if from_html else ["text", "lang"]
-        blocks = num_blocks or len(pads.dataset(pages,
-                                                format="parquet").files)
+        files = pads.dataset(pages, format="parquet").files
         pages = ray.data.read_parquet(pages, columns=cols,
-                                      override_num_blocks=blocks)
-    elif num_blocks:
-        pages = pages.repartition(num_blocks)
+                                      override_num_blocks=len(files))
     # the features follow from the input's columns, known without running
     # anything for a read: no limit(1) probe of the feature stage
     features = feature_names(pages.columns() or ())
     feats = prepare_features(pages, from_html=from_html)
-    digests = grouped_digests_fast(feats, "lang", features, compression,
-                                   nsalt=nsalt if salted else 0)
+    digests = grouped_digests_fast(feats, "lang", features, compression)
     return finalize_quantiles(digests, features=features,
                               percentiles=percentiles)

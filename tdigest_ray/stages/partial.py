@@ -146,31 +146,46 @@ def make_null_key_unmask(key_cols: Sequence[str]) -> Callable:
     return unmask_nulls
 
 
-def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100,
-                         nsalt: int = 0):
+def merge_grouped_digests(ds, key_cols, digest_cols):
+    """``tdigest(tdigest) GROUP BY keys`` over a Dataset of digest rows:
+    ``groupby(keys).aggregate(TDigestMergeAgg)`` per digest column, with
+    null string keys masked through the sort shuffle and restored after.
+
+    Output columns: ``<key...>, <digest...>`` (binary wire format); null
+    keys form one group of their own, as in
+    :func:`merge_partial_digest_table`. Ray's sort aggregate combines each
+    input block's rows per key before the shuffle, so a reducer merges at
+    most one state per (input block, key)."""
+    from tdigest_ray.aggregates import TDigestMergeAgg
+
+    key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
+    digest_cols = ([digest_cols] if isinstance(digest_cols, str)
+                   else list(digest_cols))
+    masked = ds.map_batches(make_null_key_mask(key_cols),
+                            batch_format="pyarrow")
+    key = key_cols[0] if len(key_cols) == 1 else key_cols
+    merged = masked.groupby(key).aggregate(
+        *[TDigestMergeAgg(c, alias_name=c) for c in digest_cols])
+    return merged.map_batches(make_null_key_unmask(key_cols),
+                              batch_format="pyarrow")
+
+
+def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
     """``tdigest(v, comp) GROUP BY keys`` with vectorized map-side partials.
 
     Output columns: ``<key...>, <value>_digest`` (binary wire format) —
     identical schema and merge semantics to the plain
     ``groupby().aggregate(TDigestAgg)`` path, ~10x faster on large blocks.
 
-    ``nsalt > 0`` adds a salted first merge level, a two-level merge TREE
-    for the regime where the REDUCE-STATE count itself explodes (10^6+
-    surviving partial states per key, e.g. an un-coalesced 100 TB run).
-    Each partial row gets ``_salt = content_hash(first digest) % nsalt``;
-    the first level reduces (keys, salt) — #states/nsalt per reducer,
-    nsalt-way parallel — and the second merges the nkeys x nsalt
-    survivors. The salt is a pure function of the partial's wire bytes,
-    so task retries and block re-splits land partials deterministically.
-    At bench scale salting does NOT pay (bench ``skewed_merge``, r3):
-    Ray's grouped aggregate already combines block-locally before the
-    shuffle, so a 90%-hot key merges as fast as a uniform spread and the
-    extra groupby level costs more than it saves.
+    The partial rows are coalesced to at most ``min(CPUs, 64)`` blocks
+    before :func:`merge_grouped_digests`, so a key's reducer merges at
+    most that many states however many input blocks there were. A hot
+    key therefore needs no salting: on 500k partial rows in 32 blocks
+    with 90% on one key (4-core host), a two-level merge that first
+    merges per (key, salt) took 35.9 s against 30.0 s unsalted at 1 Ray
+    CPU, and 11.8 s against 7.3 s at 4 (medians of 6 pairs).
     """
     import ray
-
-    from tdigest_ray.aggregates import TDigestMergeAgg
-    from tdigest_ray.sketches.hashing import fast_hash64_utf8
 
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = [value_cols] if isinstance(value_cols, str) else list(value_cols)
@@ -182,32 +197,14 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100,
         # both the digest count and the per-call fixed costs
         batch_size=None,
     )
-    if nsalt:
-        def add_salt(batch: pa.Table) -> pa.Table:
-            # content-derived salt straight from the binary column's Arrow
-            # buffers (nulls hash as empty) — no per-row Python objects
-            h = fast_hash64_utf8(batch.column(f"{value_cols[0]}_digest"))
-            salt = (h % np.uint64(nsalt)).astype(np.int32)
-            return batch.append_column("_salt", pa.array(salt))
-
-        partial = partial.map_batches(add_salt, batch_format="pyarrow")
     # coalesce the tiny partial-row blocks to ~cluster width before the
     # merge groupby — the sort shuffle pays fixed costs PER INPUT BLOCK,
     # and at 512+ input blocks that flood dominates wall time (measured
     # 10.2s -> 1.4s on a 512-block 10M-row rollup)
     cpus = int(ray.cluster_resources().get("CPU", 8))
     partial = partial.repartition(min(cpus, 64))
-
-    partial = partial.map_batches(make_null_key_mask(key_cols),
-                                  batch_format="pyarrow")
-    aggs = [TDigestMergeAgg(f"{c}_digest", alias_name=f"{c}_digest")
-            for c in value_cols]
-    if nsalt:
-        partial = partial.groupby(key_cols + ["_salt"]).aggregate(*aggs)
-    key = key_cols[0] if len(key_cols) == 1 else key_cols
-    merged = partial.groupby(key).aggregate(*aggs)
-    return merged.map_batches(make_null_key_unmask(key_cols),
-                              batch_format="pyarrow")
+    return merge_grouped_digests(partial, key_cols,
+                                 [f"{c}_digest" for c in value_cols])
 
 
 def merge_partial_digest_table(tbl: pa.Table, key_cols, value_cols) -> pa.Table:
@@ -215,8 +212,7 @@ def merge_partial_digest_table(tbl: pa.Table, key_cols, value_cols) -> pa.Table:
     checkpoint path's finisher (``checkpoint.run_partition`` accepts the
     returned ``pa.Table`` directly).
 
-    Equivalent result to ``grouped_digests_fast``'s
-    ``groupby(key).aggregate(TDigestMergeAgg)`` tail, but the input here
+    Equivalent result to :func:`merge_grouped_digests`, but the input here
     is tiny BY CONSTRUCTION (#blocks x #groups rows for one input file),
     so the coalesce-repartition + groupby barriers — whose fixed cost
     dominates a per-file pipeline (measured ~3.6 s/file wall for

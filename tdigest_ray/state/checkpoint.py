@@ -285,10 +285,10 @@ def atomic_output_swap(ds, output_dir: str,
 
 def merged_result(part_paths: list[str], group_col: str, digest_col: str):
     """Read all checkpoint parts and merge their digests per group —
-    ``tdigest(tdigest) GROUP BY key`` over the checkpoint table."""
-    from tdigest_ray.aggregates import TDigestMergeAgg
+    ``tdigest(tdigest) GROUP BY key`` over the checkpoint table, through
+    the distributed merge (``partial.merge_grouped_digests``). A null
+    group key, which parts keep as null, merges into one null-key row."""
+    from tdigest_ray.stages.partial import merge_grouped_digests
 
-    ds = ray.data.read_parquet(part_paths)
-    return ds.groupby(group_col).aggregate(
-        TDigestMergeAgg(digest_col, alias_name=digest_col)
-    )
+    return merge_grouped_digests(ray.data.read_parquet(part_paths),
+                                 group_col, digest_col)

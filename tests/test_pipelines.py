@@ -1,9 +1,10 @@
 """End-to-end pipeline tests: deterministic pages source, the flagship
-per-language digest pipeline (plain + salted), checkpoint/resume, and the
+per-language digest pipeline, checkpoint/resume, and the
 byte-identical text-extraction invariant from BASELINE.json input_hint."""
 
 import os
 
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -75,18 +76,6 @@ class TestFlagship:
                / a["text_len_p95"]).max()
         assert rel < 0.02
 
-    def test_salted_matches_unsalted_counts(self, pages_dir):
-        plain = flagship.flagship(pages_dir, salted=False).to_pandas()
-        salted = flagship.flagship(pages_dir, salted=True, nsalt=4).to_pandas()
-        p = plain.set_index("lang")["text_len_count"].sort_index()
-        s = salted.set_index("lang")["text_len_count"].sort_index()
-        assert (p == s).all()  # counts are exact under both plans
-        # quantiles agree within digest tolerance
-        pq_ = plain.set_index("lang")["text_len_p50"].sort_index()
-        sq = salted.set_index("lang")["text_len_p50"].sort_index()
-        assert ((pq_ - sq).abs() / pq_.clip(lower=1)).max() < 0.05
-
-
 class TestCheckpoint:
     def _digest_fn(self, ds):
         return flagship.grouped_digests(
@@ -141,48 +130,42 @@ class TestCheckpoint:
         assert checkpoint.pending_files(ckpt, files) == files
 
 
-def test_salted_tree_hot_key_parity():
-    """r3 (VERDICT item 6): salted two-level merge tree vs the unsalted
-    reduce on a 90%-hot Zipf key — counts exact, p95 within digest error."""
+def test_merged_result_null_group_key(tmp_path):
+    """Checkpoint parts keep a null group key as null. Merging parts that
+    hold one gives a single null-key row with the exact null-key count;
+    the other groups come out byte-identical to a merge of the same parts
+    without their null rows."""
     import numpy as np
     import pyarrow as pa
-    import ray
 
-    from tdigest_ray.functions import serde
-    from tdigest_ray.pipelines.flagship import (
-        grouped_digests,
-        grouped_digests_salted,
-    )
-    from tdigest_ray.sketches.hashing import splitmix64
+    from tdigest_ray.stages.partial import (make_partial_digest_fn,
+                                            merge_partial_digest_table)
 
-    n = 200_000
+    rng = np.random.default_rng(9)
+    langs = np.array(["de", "en", "fr", None], dtype=object)
+    partial = make_partial_digest_fn(["lang"], ["text_len"])
+    with_null, null_free, n_null = [], [], 0
+    for i in range(4):
+        codes = rng.integers(0, 4, 300)
+        n_null += int((codes == 3).sum())
+        rows = pa.table({"lang": pa.array(langs[codes], pa.string()),
+                         "text_len": rng.lognormal(6.0, 1.0, 300)})
+        part = merge_partial_digest_table(partial(rows), "lang", "text_len")
+        free = part.filter(pc.is_valid(part.column("lang")))
+        for paths, tbl, tag in ((with_null, part, "with"),
+                                (null_free, free, "free")):
+            paths.append(str(tmp_path / f"{tag}-{i}.parquet"))
+            pq.write_table(tbl, paths[-1])
 
-    def gen(batch: pa.Table) -> pa.Table:
-        ids = batch.column("id").to_numpy(
-            zero_copy_only=False).astype(np.uint64)
-        u = (splitmix64(ids) >> np.uint64(11)).astype(
-            np.float64) / (1 << 53)
-        g = (splitmix64(ids ^ np.uint64(7)) % np.uint64(10)).astype(np.int64)
-        lang = np.where(g < 9, "hot", "cold")
-        return pa.table({
-            "lang": pa.array(lang.astype(object), pa.string()),
-            "text_len": pa.array(u * 1000.0),
-        })
+    def merged(paths):
+        return {r["lang"]: bytes(r["text_len_digest"]) for r in
+                checkpoint.merged_result(paths, "lang",
+                                         "text_len_digest").take_all()}
 
-    ds = (ray.data.range(n, override_num_blocks=24)
-          .map_batches(gen, batch_format="pyarrow").materialize())
-    plain = {r["lang"]: serde.from_bytes(bytes(r["text_len_digest"]))
-             for r in grouped_digests(
-                 ds, features=("text_len",)).take_all()}
-    salted = {r["lang"]: serde.from_bytes(bytes(r["text_len_digest"]))
-              for r in grouped_digests_salted(
-                  ds, features=("text_len",), nsalt=8).take_all()}
-    assert set(plain) == set(salted) == {"hot", "cold"}
-    for k in plain:
-        assert plain[k].count == salted[k].count
-        for p in (0.05, 0.5, 0.95):
-            assert abs(plain[k].quantile(p)
-                       - salted[k].quantile(p)) <= 0.01 * 1000.0
+    got = merged(with_null)
+    assert serde.digest_count(got.pop(None)) == n_null > 0
+    assert got == merged(null_free)
+    assert set(got) == {"de", "en", "fr"}
 
 
 class TestCuration:
@@ -254,27 +237,6 @@ class TestCuration:
         orig = {i: t for i, t in zip(tbl.column("doc_id").to_pylist(),
                                      tbl.column("text").to_pylist())}
         assert all(by_id[i] == orig[i] for i in by_id)
-
-
-def test_salted_tree_null_group_key():
-    """r3 self-review: null string group keys survive the salted path's
-    multi-block sort shuffles (same sentinel discipline as the unsalted
-    fast path)."""
-    import pyarrow as pa
-    import ray
-
-    from tdigest_ray.functions import serde
-    from tdigest_ray.pipelines.flagship import grouped_digests_salted
-
-    tbl = pa.table({
-        "lang": pa.array(["en", None, "en", None, "de"], pa.string()),
-        "text_len": pa.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-    })
-    ds = ray.data.from_arrow(tbl).repartition(3)
-    out = grouped_digests_salted(ds, features=("text_len",), nsalt=4)
-    counts = {r["lang"]: serde.digest_count(bytes(r["text_len_digest"]))
-              for r in out.take_all()}
-    assert counts == {"en": 2, None: 2, "de": 1}
 
 
 class TestGroupedDigestsTable:
@@ -365,13 +327,11 @@ def test_grouped_digests_table_zero_rows(shape):
         assert out.schema.field("lang").type == pa.string()
 
 
-@pytest.mark.parametrize("route",
-                         ["grouped_digests", "grouped_digests_salted"])
-def test_grouped_routes_filtered_to_nothing(route):
-    """The distributed routes accept an input whose schema is unknown
+def test_grouped_digests_filtered_to_nothing():
+    """The distributed route accepts an input whose schema is unknown
     because a filter dropped every row: 0 rows, typed digest columns."""
     ds = _tiny_features().filter(lambda r: False)
-    out = getattr(flagship, route)(ds, features=("text_len", "html_size"))
+    out = flagship.grouped_digests(ds, features=("text_len", "html_size"))
     assert out.count() == 0
     assert out.schema().names == ["lang", "text_len_digest",
                                   "html_size_digest"]
@@ -467,13 +427,16 @@ def _plan_names(ds) -> list:
     return names
 
 
-@pytest.mark.parametrize("num_blocks", [None, 2, 8])
+@pytest.mark.parametrize("read_blocks", [None, 2, 8])
 def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
-                                           num_blocks):
+                                           read_blocks):
     """A path is read one block per Parquet file (``_SUCCESS`` is not a
-    file), not in Ray's size-driven split; ``num_blocks`` reads that many
-    blocks directly. Either way the partial-digest UDF runs once per block
-    and no repartition runs ahead of it."""
+    file), not in Ray's size-driven split; a Dataset read with
+    ``override_num_blocks=k`` is used in its ``k`` blocks. Either way the
+    partial-digest UDF runs once per block and no repartition runs ahead
+    of it."""
+    import ray
+
     from tdigest_ray.stages import partial
 
     assert len(_page_files(pages_dir)) == 4
@@ -484,9 +447,11 @@ def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
         return _counting(log, real(*args, **kwargs))
 
     monkeypatch.setattr(partial, "make_partial_digest_fn", counted_partial)
-    out = flagship.flagship(pages_dir, num_blocks=num_blocks)
+    source = (pages_dir if read_blocks is None else ray.data.read_parquet(
+        pages_dir, columns=["html", "lang"], override_num_blocks=read_blocks))
+    out = flagship.flagship(source)
     assert out.count() > 0
-    assert _calls(log) == (num_blocks or 4)
+    assert _calls(log) == (read_blocks or 4)
     names = _plan_names(out)
     upstream = names[names.index("MapBatches(counted)"):]
     assert upstream[-1] == "ReadParquet" and "Repartition" not in upstream

@@ -1,4 +1,4 @@
-"""Metrics collection and the job entrypoint script."""
+"""Checkpointed state, the job entrypoint scripts and the signature store."""
 
 import json
 import subprocess
@@ -7,40 +7,6 @@ import sys
 import pyarrow as pa
 import pytest
 import ray
-
-from tdigest_ray.state import metrics
-
-
-class TestMetrics:
-    def test_counting_wrapper(self):
-        actor = metrics.get_metrics_actor("test_metrics_a")
-        tbl = pa.table({"x": list(range(100))})
-        ds = ray.data.from_arrow(tbl).repartition(4)
-        fn = metrics.wrap_counting(lambda b: b, "stage1", actor)
-        ds.map_batches(fn, batch_format="pyarrow").materialize()
-        # reports are fire-and-forget; poll until they drain
-        import time
-
-        for _ in range(100):
-            snap = ray.get(actor.snapshot.remote())
-            if snap["stages"].get("stage1", {}).get("rows") == 100:
-                break
-            time.sleep(0.1)
-        assert snap["stages"]["stage1"]["rows"] == 100
-        assert snap["stages"]["stage1"]["rows_per_sec"] > 0
-
-    def test_multiple_stages(self):
-        actor = metrics.get_metrics_actor("test_metrics_b")
-        ray.get(actor.add.remote("a", 10, 1000))
-        ray.get(actor.add.remote("a", 5, 500))
-        ray.get(actor.add.remote("b", 1, 1))
-        snap = ray.get(actor.snapshot.remote())
-        assert snap["stages"]["a"] == {
-            "rows": 15, "bytes": 1500,
-            **{k: snap["stages"]["a"][k]
-               for k in ("rows_per_sec", "bytes_per_sec")},
-        }
-        assert snap["stages"]["b"]["rows"] == 1
 
 
 def test_run_flagship_script(tmp_path):
