@@ -381,13 +381,6 @@ from tdigest_ray.sketches.hll import HLL  # noqa: E402
 from tdigest_ray.sketches.kll import KLL  # noqa: E402
 
 
-class HLLAgg(SketchAgg):
-    """Merged HyperLogLog sketch (serialized) of a column."""
-
-    def __init__(self, on: str, p: int = 14, alias_name: Optional[str] = None):
-        super().__init__(on, lambda: HLL(p), alias_name or f"hll({on})")
-
-
 class HLLCountAgg(SketchAgg):
     """Approximate COUNT(DISTINCT col); std error ~ 1.04/sqrt(2^p)."""
 
@@ -398,13 +391,6 @@ class HLLCountAgg(SketchAgg):
             alias_name or f"approx_distinct({on})",
             finalizer=lambda s: int(round(s.estimate())),
         )
-
-
-class KLLAgg(SketchAgg):
-    """Merged KLL sketch (serialized) of a numeric column."""
-
-    def __init__(self, on: str, k: int = 200, alias_name: Optional[str] = None):
-        super().__init__(on, lambda: KLL(k), alias_name or f"kll({on})")
 
 
 class KLLQuantileAgg(SketchAgg):
@@ -483,16 +469,36 @@ class HeavyHittersAgg(AggregateFnV2):
     def aggregate_block(self, block: Block):
         import pickle
 
-        from tdigest_ray.sketches.base import column_array
+        import pyarrow as pa
+        import pyarrow.compute as pc
 
-        values = column_array(block, self._target_col_name)
-        if len(values) == 0:
-            return None
+        from tdigest_ray.sketches.base import column_array, column_hashes
+
+        col = self._target_col_name
         cm = self._cm_cls(self._depth, self._width)
-        cm.update(values)
-        uniq, counts = np.unique(values, return_counts=True)
-        top = uniq[np.argsort(-counts)[: self._ncand]]
-        return pickle.dumps((cm.to_bytes(), list(top)))
+        # candidates: the block's top ``candidates`` values by count,
+        # ties broken by ascending value
+        h = column_hashes(block, col)
+        if h is not None:
+            # Arrow string column: hashes from the buffers, counts from
+            # Arrow — no Python object per row
+            if len(h) == 0:
+                return None
+            cm.update(h)
+            vc = pc.value_counts(pc.drop_null(block.column(col)))
+            values = vc.field("values")
+            order = pc.select_k_unstable(
+                pa.table({"c": vc.field("counts"), "v": values}),
+                self._ncand, [("c", "descending"), ("v", "ascending")])
+            top = values.take(order).to_pylist()
+        else:
+            values = column_array(block, col)
+            if len(values) == 0:
+                return None
+            cm.update(values)
+            uniq, counts = np.unique(values, return_counts=True)
+            top = list(uniq[np.argsort(-counts, kind="stable")[: self._ncand]])
+        return pickle.dumps((cm.to_bytes(), top))
 
     def combine(self, current, new):
         import pickle

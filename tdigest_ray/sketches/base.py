@@ -49,16 +49,15 @@ def column_hashes(block: Block, col: str):
     """Pre-hashed uint64 of an Arrow STRING column, straight from the
     Arrow buffers — the zero-object fast path for hash-consuming
     sketches (HLL / count-min / Bloom), which otherwise pay one Python
-    object per row via ``column_array`` + ``hash_array``.
+    object per row via ``column_array``.
 
-    Bit-equal to ``hash64`` over the object array (``hash64_utf8`` is
-    the pinned-parity buffer reimplementation of pandas'
-    ``hash_array``), so routing through here changes NO sketch output.
-    The block's dictionary is hashed once and gathered per occurrence —
-    low-cardinality columns (event types, languages) cost per DISTINCT
-    value, not per row. Nulls are dropped (ignore_nulls aggregate
-    semantics). Returns ``None`` for non-Arrow blocks or non-string
-    columns (caller falls back to ``column_array``).
+    Bit-equal to ``hash64`` over the same values as an object array
+    (both are ``hash64_utf8``), so routing through here changes NO
+    sketch output. The block's dictionary is hashed once and gathered
+    per occurrence — low-cardinality columns (event types, languages)
+    cost per DISTINCT value, not per row. Nulls are dropped
+    (ignore_nulls aggregate semantics). Returns ``None`` for non-Arrow
+    blocks or non-string columns (caller falls back to ``column_array``).
     """
     import pyarrow as pa
     import pyarrow.compute as pc

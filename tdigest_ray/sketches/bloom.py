@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from tdigest_ray.sketches.hashing import hash64, splitmix64
+from tdigest_ray.sketches.hashing import splitmix64, to_hashes
 
 _U64 = np.uint64
 
@@ -49,25 +49,34 @@ class BloomFilter:
         return cls(nbits=nbits, k=k)
 
     def _positions(self, h: np.ndarray) -> np.ndarray:
-        """(k, n) bit positions via double hashing."""
-        h1 = h
+        """(k, n) bit positions via double hashing. A power-of-two
+        ``nbits`` reduces with a mask, the same value as ``%``."""
         h2 = splitmix64(h) | _U64(1)
-        i = np.arange(self.k, dtype=np.uint64)[:, None]
         with np.errstate(over="ignore"):
-            return ((h1[None, :] + i * h2[None, :]) % _U64(self.nbits)).astype(
-                np.int64
-            )
+            g = np.arange(self.k, dtype=np.uint64)[:, None] * h2
+            g += h
+        if self.nbits & (self.nbits - 1):
+            g %= _U64(self.nbits)
+        else:
+            g &= _U64(self.nbits - 1)
+        return g.view(np.int64)  # every position is < nbits < 2^63
 
     def update(self, values) -> None:
-        arr = np.asarray(values)
-        h = arr if arr.dtype == np.uint64 else hash64(arr)
+        h = to_hashes(values)
         pos = self._positions(h).ravel()
-        np.bitwise_or.at(self.bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8))
+        if self.nbits <= 8 * len(pos):
+            # a bool bitmap no bigger than ``pos``: one scatter, one pack
+            flags = np.zeros(8 * len(self.bits), dtype=bool)
+            flags[pos] = True
+            self.bits |= np.packbits(flags, bitorder="little")
+        else:
+            # a small batch into a big filter allocates nothing new
+            np.bitwise_or.at(self.bits, pos >> 3,
+                             np.uint8(1) << (pos & 7).astype(np.uint8))
 
     def contains(self, values) -> np.ndarray:
         """Vectorized membership probe."""
-        arr = np.asarray(values)
-        h = arr if arr.dtype == np.uint64 else hash64(arr)
+        h = to_hashes(values)
         pos = self._positions(h)
         set_ = (self.bits[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
         return set_.all(axis=0).astype(bool)
@@ -77,9 +86,6 @@ class BloomFilter:
             raise ValueError("cannot merge bloom filters of different shape")
         np.bitwise_or(self.bits, other.bits, out=self.bits)
         return self
-
-    def fill_ratio(self) -> float:
-        return float(np.unpackbits(self.bits).mean())
 
     def __eq__(self, other):
         return (

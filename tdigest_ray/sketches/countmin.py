@@ -15,10 +15,11 @@ Merge is elementwise addition — associative and commutative.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
-from tdigest_ray.sketches.hashing import derive_hash, hash64
+from tdigest_ray.sketches.hashing import splitmix64, to_hashes
 
 _U64 = np.uint64
 
@@ -52,23 +53,30 @@ class CountMin:
 
     def _indices(self, h: np.ndarray) -> np.ndarray:
         """(depth, n) column indices: row r uses the r-th derived
-        (independently seeded SplitMix64) hash reduced mod width."""
-        out = np.empty((self.depth, len(h)), dtype=np.int64)
-        for r in range(self.depth):
-            out[r] = (derive_hash(h, r) % _U64(self.width)).astype(np.int64)
-        return out
+        (independently seeded SplitMix64) hash, ``derive_hash(h, r)``,
+        reduced mod width — every row mixed in one (depth, n) pass."""
+        seeds = splitmix64(np.arange(1, self.depth + 1, dtype=np.uint64))
+        g = splitmix64(h[None, :] ^ seeds[:, None])
+        if self.width & (self.width - 1):
+            g %= _U64(self.width)
+        else:
+            g &= _U64(self.width - 1)
+        return g.view(np.int64)
 
     def update(self, values, weights=None) -> None:
-        arr = np.asarray(values)
-        h = arr if arr.dtype == np.uint64 else hash64(arr)
+        h = to_hashes(values)
         idx = self._indices(h)
         if weights is None:
-            for r in range(self.depth):
-                np.add.at(self.table[r], idx[r], 1)
+            idx += (np.arange(self.depth, dtype=np.int64)
+                    * self.width)[:, None]
+            self.table += np.bincount(
+                idx.ravel(), minlength=self.depth * self.width
+            ).reshape(self.depth, self.width)
         else:
+            # bincount weights are float64, inexact above 2^53
             w = np.asarray(weights, dtype=np.int64)
-            for r in range(self.depth):
-                np.add.at(self.table[r], idx[r], w)
+            rows = np.arange(self.depth)[:, None]
+            np.add.at(self.table, (rows, idx), w)
 
     def merge(self, other: "CountMin") -> "CountMin":
         if (self.depth, self.width) != (other.depth, other.width):
@@ -78,8 +86,7 @@ class CountMin:
 
     def query(self, values) -> np.ndarray:
         """Point frequency estimates (vectorized)."""
-        arr = np.asarray(values)
-        h = arr if arr.dtype == np.uint64 else hash64(arr)
+        h = to_hashes(values)
         idx = self._indices(h)
         rows = np.arange(self.depth)[:, None]
         return self.table[rows, idx].min(axis=0)
@@ -97,14 +104,10 @@ class CountMin:
         )
 
     def to_bytes(self) -> bytes:
-        import struct
-
         return struct.pack(">BII", 1, self.depth, self.width) + self.table.tobytes()
 
     @classmethod
     def from_bytes(cls, b: bytes) -> "CountMin":
-        import struct
-
         ver, depth, width = struct.unpack_from(">BII", b)
         if ver != 1:
             raise ValueError("unsupported count-min serialization version")

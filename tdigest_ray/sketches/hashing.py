@@ -1,93 +1,62 @@
-"""Deterministic, vectorized 64-bit hashing shared by the sibling sketches.
+"""Deterministic, vectorized 64-bit hashing shared by the sketches.
 
 All sketches must produce identical results across processes and runs (no
-``PYTHONHASHSEED`` dependence), so row hashing uses ``pandas.util.hash_array``
-(SipHash with a fixed key for objects / strings, deterministic uint64
-mixing for numerics) and derived hash functions use SplitMix64-style mixing
-(Steele et al., "Fast Splittable Pseudorandom Number Generators", OOPSLA'14 —
-public domain constants).
-
-The buffer-level string hashes below are built from public algorithms:
-the compatibility path re-implements SipHash-2-4 (Aumasson & Bernstein,
-"SipHash: a fast short-input PRF", 2012 — public specification) plus
-pandas' published finalizer mix; the hot path is a multilinear
-(Carter-Wegman-family) block hash with SplitMix64-derived constants.
+``PYTHONHASHSEED`` dependence). Text has ONE hash, :func:`hash64_utf8`: a
+multilinear (Carter-Wegman-family) block hash read straight from Arrow
+string/binary buffers, with SplitMix64-derived constants. :func:`hash64`
+sends Python/numpy text through the same function, so a string hashes
+alike whether it arrives in an Arrow block, a pandas block or a Python
+list. Numeric dtypes keep ``pandas.util.hash_array``'s deterministic
+uint64 mix. Derived hash functions use SplitMix64 mixing (Steele et al.,
+"Fast Splittable Pseudorandom Number Generators", OOPSLA'14 — public
+domain constants).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 from pandas.util import hash_array
 
 _U64 = np.uint64
-MERSENNE61 = np.uint64((1 << 61) - 1)
 
 
 def hash64(values) -> np.ndarray:
-    """Deterministic uint64 hash of a 1-D array of any dtype."""
+    """Deterministic uint64 hash of a 1-D array.
+
+    Text — an array of ``str``/``bytes``/``None`` values, or a numpy
+    ``U``/``S`` array — is hashed by :func:`hash64_utf8`, nulls as ``""``.
+    Every other dtype (and mixed-type object arrays) keeps ``hash_array``.
+    """
     arr = np.asarray(values)
-    if arr.dtype == object or arr.dtype.kind in "US":
-        arr = np.asarray(arr, dtype=object)
+    if arr.dtype.kind in "US":
+        # through Python strings: numpy's fixed-width strings drop
+        # trailing NULs (a list keeps them), and ``pa.array`` cuts a
+        # numpy string at its first NUL
+        arr = np.asarray(values, dtype=object)
+    if arr.dtype == object:
+        try:
+            col = pa.array(arr, from_pandas=True)
+        except (pa.ArrowInvalid, pa.ArrowTypeError):  # mixed types
+            return hash_array(arr)
+        if pa.types.is_null(col.type):  # nothing but nulls
+            col = col.cast(pa.string())
+        if _is_text(col.type):
+            return hash64_utf8(col)
     return hash_array(arr)
 
 
-# ------------------------------------------------------------------ #
-# zero-object string hashing over Arrow buffers
-# ------------------------------------------------------------------ #
-#
-# ``hash_array`` on an object array is SipHash-2-4 of each string's UTF-8
-# bytes (fixed key b"0123456789123456") followed by a 64-bit finalizer mix
-# — but reaching it costs one Python str per row (``to_pylist``), the last
-# per-row cost on the 100-TB dedup hot path (VERDICT r2 item 1). The
-# functions below reproduce hash_array BIT-EXACTLY (pinned by a parity
-# test) straight from the Arrow string column's (offsets, data) buffers:
-# strings are sorted by length so each 8-byte SipHash block round runs as
-# two aligned uint64 gathers + a few in-place uint64 kernels over the
-# still-active prefix —
-# no Python object ever materializes. Work is O(total_bytes/8) vector ops.
-
-_SIP_KEY = b"0123456789123456"  # pandas' default hash_key
-_SIP_K0 = _U64(int.from_bytes(_SIP_KEY[:8], "little"))
-_SIP_K1 = _U64(int.from_bytes(_SIP_KEY[8:], "little"))
-_MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
+def to_hashes(values) -> np.ndarray:
+    """The uint64 hashes a sketch consumes: a uint64 array is taken as
+    already hashed (e.g. ``base.column_hashes``), anything else goes
+    through :func:`hash64`."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == np.uint64 else hash64(values)
 
 
-def _pandas_finalize(x: np.ndarray) -> np.ndarray:
-    """hash_array's post-SipHash 64-bit redistribution mix."""
-    x = x.copy()
-    x ^= x >> _U64(30)
-    x *= _U64(0xBF58476D1CE4E5B9)
-    x ^= x >> _U64(27)
-    x *= _U64(0x94D049BB133111EB)
-    x ^= x >> _U64(31)
-    return x
-
-
-def _rotl_inplace(x: np.ndarray, b: int, tmp: np.ndarray) -> None:
-    """``x = rotl64(x, b)`` in place, through the scratch ``tmp``."""
-    np.left_shift(x, _U64(b), out=tmp)
-    np.right_shift(x, _U64(64 - b), out=x)
-    x |= tmp
-
-
-def _sipround_inplace(v0, v1, v2, v3, tmp):
-    """One SipHash round, mutating the four uint64 state arrays in place
-    (``tmp`` is a scratch array of the same length — these run ~2x per 8
-    input bytes, so no temporaries are allocated)."""
-    v0 += v1
-    _rotl_inplace(v1, 13, tmp)
-    v1 ^= v0
-    _rotl_inplace(v0, 32, tmp)
-    v2 += v3
-    _rotl_inplace(v3, 16, tmp)
-    v3 ^= v2
-    v0 += v3
-    _rotl_inplace(v3, 21, tmp)
-    v3 ^= v0
-    v2 += v1
-    _rotl_inplace(v1, 17, tmp)
-    v1 ^= v2
-    _rotl_inplace(v2, 32, tmp)
+def _is_text(t) -> bool:
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t))
 
 
 def _padded_words(data: np.ndarray) -> np.ndarray:
@@ -108,75 +77,13 @@ def _load_blocks(words: np.ndarray, word: np.ndarray,
         (words[word + 1] << (_U64(63) - shift)) << _U64(1))
 
 
-def _siphash24_segments(data: np.ndarray, starts: np.ndarray,
-                        lens: np.ndarray) -> np.ndarray:
-    """Vectorized SipHash-2-4 of ``data[starts[i]:starts[i]+lens[i]]`` per
-    row.
-
-    Each 8-byte message block is read straight from a tail-padded copy of
-    the data buffer with two aligned uint64 loads (:func:`_load_blocks`),
-    and rows are processed longest-first, so block round j loads and mixes
-    only the contiguous prefix of rows still having a j-th block. Still
-    O(max_len/8) sequential rounds — SipHash chains block state, so this is
-    the COMPATIBILITY path; the hot paths use :func:`fast_hash64_utf8`."""
-    n = len(starts)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    order = np.argsort(-lens, kind="stable")
-    st = starts[order].astype(np.int64)
-    ln = lens[order].astype(np.int64)
-    nfull = ln >> 3
-    words = _padded_words(data)
-    word = st >> 3
-    shift = ((st & 7) << 3).astype(np.uint64)
-
-    v0 = np.full(n, _U64(0x736F6D6570736575) ^ _SIP_K0, dtype=np.uint64)
-    v1 = np.full(n, _U64(0x646F72616E646F6D) ^ _SIP_K1, dtype=np.uint64)
-    v2 = np.full(n, _U64(0x6C7967656E657261) ^ _SIP_K0, dtype=np.uint64)
-    v3 = np.full(n, _U64(0x7465646279746573) ^ _SIP_K1, dtype=np.uint64)
-    tmp = np.empty(n, dtype=np.uint64)
-
-    with np.errstate(over="ignore"):
-        max_blocks = int(nfull[0])
-        for j in range(max_blocks):
-            # rows with nfull > j form a prefix of the length-sorted order
-            k = int(np.searchsorted(-nfull, -(j + 1), side="right"))
-            m = _load_blocks(words, word[:k] + j, shift[:k])
-            a0, a1, a2, a3 = v0[:k], v1[:k], v2[:k], v3[:k]
-            a3 ^= m
-            _sipround_inplace(a0, a1, a2, a3, tmp[:k])
-            _sipround_inplace(a0, a1, a2, a3, tmp[:k])
-            a0 ^= m
-        # tail block: the remainder bytes (the rest masked to the zeros of
-        # the SipHash tail encoding) + (len & 0xff) << 56
-        rem_bits = (ln & 7).astype(np.uint64) << _U64(3)
-        b = _load_blocks(words, word + nfull, shift)
-        b &= (_U64(1) << rem_bits) - _U64(1)
-        b |= (ln.astype(np.uint64) & _U64(0xFF)) << _U64(56)
-        v3 ^= b
-        _sipround_inplace(v0, v1, v2, v3, tmp)
-        _sipround_inplace(v0, v1, v2, v3, tmp)
-        v0 ^= b
-        v2 ^= _U64(0xFF)
-        for _ in range(4):
-            _sipround_inplace(v0, v1, v2, v3, tmp)
-        out_sorted = v0 ^ v1 ^ v2 ^ v3
-
-    out = np.empty(n, dtype=np.uint64)
-    out[order] = out_sorted
-    return out
-
-
 def _utf8_segments(arr):
     """(data: uint8[], starts, lens) of an Arrow string OR binary column's
-    buffers — no Python objects. Nulls read as empty segments. Returns None
-    when the input is not an Arrow array (caller falls back to ``hash64``)."""
-    import pyarrow as pa
-
+    buffers — no Python objects. Nulls read as empty segments."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     if not isinstance(arr, pa.Array):
-        return None
+        raise TypeError("hash64_utf8 needs an Arrow string/binary column")
     if pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type):
         off_dtype = np.int64
     elif pa.types.is_string(arr.type) or pa.types.is_binary(arr.type):
@@ -201,43 +108,15 @@ def _utf8_segments(arr):
 
 
 def hash64_utf8(arr) -> np.ndarray:
-    """``hash_array``-parity uint64 hash of an Arrow string column, computed
-    directly from its (offsets, data) buffers — zero Python-object
-    materialization (bit-exact parity with ``hash64`` on object arrays is
-    pinned by a test). Nulls hash as the empty string (``hash_array`` on
-    ``None`` goes through ``hash()`` and is NOT process-stable, so the
-    deterministic empty-string reading strictly dominates).
+    """Deterministic uint64 content hash of a string/binary column, read
+    from its Arrow (offsets, data) buffers: equal texts always collide,
+    distinct texts collide with probability ~2^-64, and the whole batch
+    is hashed in ~15 flat numpy kernels regardless of string lengths.
 
-    Parity includes pandas' NUL quirk as far as it is a function of the
-    string: ``hash_array`` factorizes with a C-string hash table first, so
-    ``"a\\x00b"`` takes the hash of ``"a"`` when ``"a"`` comes earlier in
-    the batch (and its own full-length hash when nothing C-string-equal
-    does). Each segment is truncated here at its first NUL byte, which
-    matches pandas whenever the NUL-free prefix comes first.
-    (:func:`fast_hash64_utf8` deliberately does NOT reproduce this: texts
-    differing after an embedded NUL are different documents.)
-
-    SipHash chains per-block state, so cost grows with the LONGEST string
-    in the batch; this is the compatibility/verification path — hot paths
-    use :func:`fast_hash64_utf8` (same dedup semantics, fully parallel)."""
-    seg = _utf8_segments(arr)
-    if seg is None:
-        return hash64(np.asarray(list(arr), dtype=object))
-    data, starts, lens = seg
-    zeros = np.flatnonzero(data == 0)
-    if len(zeros):
-        idx = np.searchsorted(zeros, starts)
-        first_nul = zeros[np.minimum(idx, len(zeros) - 1)]
-        in_range = (idx < len(zeros)) & (first_nul < starts + lens)
-        lens = np.where(in_range, first_nul - starts, lens)
-    return _pandas_finalize(_siphash24_segments(data, starts, lens))
-
-
-def fast_hash64_utf8(arr) -> np.ndarray:
-    """Deterministic uint64 content hash of an Arrow string column, built
-    for the dedup hot path: equal texts always collide, distinct texts
-    collide with probability ~2^-64, and the whole batch is hashed in
-    ~15 flat numpy kernels regardless of string lengths.
+    Accepts string, large_string, binary and large_binary arrays, sliced
+    or chunked (:func:`hash64` takes Python and numpy text).
+    Every byte counts — texts that differ only after an embedded NUL hash
+    differently. Nulls hash as the empty string.
 
     Construction (multilinear hashing, cf. Carter-Wegman / NH-style
     universal families): every 8-byte block — assembled from two ALIGNED
@@ -247,23 +126,15 @@ def fast_hash64_utf8(arr) -> np.ndarray:
     ``np.add.reduceat`` (mod 2^64), and finalized against the byte
     length. Odd multipliers are invertible mod 2^64, so two texts
     differing in exactly one block NEVER collide; multi-block
-    differences collide with ~2^-63 probability. Unlike the SipHash
-    paths there is NO sequential chain, so cost is O(total_bytes)
-    data-parallel work — skewed length distributions (one 1 MB doc among
-    tweets) cost the same as uniform ones. NOT ``hash_array``-compatible
-    by design; the dedup-equivalence parity with :func:`hash64_utf8`
-    (same equal-text classes) is pinned by a test. Nulls hash as the
-    empty string. Also accepts Arrow binary columns (same buffer layout),
-    e.g. for content-hashing digest blobs."""
-    seg = _utf8_segments(arr)
-    if seg is None:
-        raise TypeError("fast_hash64_utf8 needs an Arrow string/binary column")
-    data, starts, lens = seg
+    differences collide with ~2^-63 probability. There is no sequential
+    chain, so cost is O(total_bytes) data-parallel work — skewed length
+    distributions (one 1 MB doc among tweets) cost the same as uniform
+    ones."""
+    data, starts, lens = _utf8_segments(arr)
     n = len(starts)
     if n == 0:
         return np.empty(0, dtype=np.uint64)
-    ln = lens.astype(np.int64)
-    nfull = ln >> 3
+    nfull = lens >> 3
     nb = nfull + 1  # +1: the (possibly empty) tail block
     bstart = np.concatenate([[0], np.cumsum(nb)])[:-1]
 
@@ -273,7 +144,7 @@ def fast_hash64_utf8(arr) -> np.ndarray:
     # t = o>>3 = (starts>>3) + pos and the shift s = starts&7 per row —
     # everything derives from ONE repeat of starts plus the pos ramp
     pos = np.arange(int(nb.sum()), dtype=np.int64) - np.repeat(bstart, nb)
-    st_rep = np.repeat(starts.astype(np.int64), nb)
+    st_rep = np.repeat(starts, nb)
     t = (st_rep >> 3) + pos
     sh = ((st_rep & 7) << 3).astype(np.uint64)
     with np.errstate(over="ignore"):
@@ -281,14 +152,13 @@ def fast_hash64_utf8(arr) -> np.ndarray:
         # tail blocks: zero the garbage past the string's last rem bytes —
         # an n-sized scatter (tail block = last block of each row)
         tail_idx = bstart + nfull
-        rem8 = ((ln & 7).astype(np.uint64)) << _U64(3)
+        rem8 = ((lens & 7).astype(np.uint64)) << _U64(3)
         m[tail_idx] &= (_U64(1) << rem8) - _U64(1)
         # multilinear: block * odd-constant(position), summed per row
         mixed = m * _pos_multipliers(int(pos.max()) + 1)[pos]
         row_sum = np.add.reduceat(mixed, bstart)
-        out = splitmix64(row_sum ^ (ln.astype(np.uint64) *
-                                    _U64(0x9E3779B97F4A7C15)))
-    return out
+        return splitmix64(row_sum ^ (lens.astype(np.uint64) *
+                                     _U64(0x9E3779B97F4A7C15)))
 
 
 _PMIX_CACHE = np.empty(0, dtype=np.uint64)

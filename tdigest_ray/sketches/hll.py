@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tdigest_ray.sketches.hashing import ctz_rank, hash64
+from tdigest_ray.sketches.hashing import ctz_rank, to_hashes
 
 
 def _alpha(m: int) -> float:
@@ -56,11 +56,7 @@ class HLL:
     def update(self, values) -> None:
         """Vectorized update from a column of values (pre-hashed uint64
         arrays are accepted as-is)."""
-        arr = np.asarray(values)
-        h = arr if arr.dtype == np.uint64 else hash64(arr)
-        self.update_hashed(h)
-
-    def update_hashed(self, h: np.ndarray) -> None:
+        h = to_hashes(values)
         idx = (h & np.uint64(self.m - 1)).astype(np.int64)
         w = h >> np.uint64(self.p)
         rho = ctz_rank(w, 64 - self.p + 1)

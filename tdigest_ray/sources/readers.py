@@ -57,14 +57,14 @@ def read_corpus(paths, format: str = "parquet", columns: list | None = None,
 
 
 def with_content_ids(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """Content-addressed int64 ids: SipHash of the document text,
+    """Content-addressed int64 ids: ``hash64_utf8`` of the document text,
     computed from the Arrow buffers row-locally — no counters, no
     coordination, identical across reruns and block layouts (the only
     id scheme that is both deterministic and shuffle-free at 10^12
     rows). Duplicate texts intentionally share an id, which composes
     with exact dedup; pipelines needing unique ids should carry them
     from the source system instead."""
-    from tdigest_ray.sketches.hashing import fast_hash64_utf8
+    from tdigest_ray.sketches.hashing import hash64_utf8
 
     def add_ids(batch: pa.Table) -> pa.Table:
         col = batch.column(text_col)
@@ -72,7 +72,7 @@ def with_content_ids(ds, text_col: str = "text", id_col: str = "doc_id"):
             col = col.combine_chunks()
         import numpy as np
 
-        ids = fast_hash64_utf8(col).view(np.int64)
+        ids = hash64_utf8(col).view(np.int64)
         return batch.append_column(id_col, pa.array(ids, pa.int64()))
 
     return ds.map_batches(add_ids, batch_format="pyarrow")

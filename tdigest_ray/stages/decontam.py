@@ -5,7 +5,7 @@ The standard guard in training-data pipelines: before training, any
 document containing an n-gram that also appears in a held-out benchmark
 is removed so the benchmark stays uncontaminated. Reuses the dedup
 module's shingling (`_distinct_gram_rows`: Arrow whitespace split,
-dictionary-encoded SipHash token hashes, position-weighted k-gram
+dictionary-encoded token hashes, position-weighted k-gram
 combine — no shingle strings, no per-row Python).
 
 Scale shape — this is a broadcast semi-join, never a shuffle:

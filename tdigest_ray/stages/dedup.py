@@ -35,10 +35,14 @@ import pyarrow as pa
 
 from tdigest_ray.sketches.hashing import (
     derive_hash,
-    fast_hash64_utf8,
-    hash64,
+    hash64_utf8,
     splitmix64,
 )
+
+# SimHash signature of a document with no tokens: the value the token
+# hash gave "" when signature stores were pinned to "oph-fasthash64-v1"
+# (pandas' hash_array of ""), kept so those stores stay valid
+_EMPTY_DOC_SIMHASH = np.uint64(1760245841805064774)
 
 
 # ---------------------------------------------------------------- #
@@ -57,7 +61,7 @@ def _tokenize(arr: pa.Array):
     """Arrow-kernel tokenization: whitespace split, empty tokens dropped
     (Python ``str.split()`` parity). Returns (per-doc token counts int64,
     uint64 token hashes in document order) — each DISTINCT token is
-    SipHashed once via dictionary encoding."""
+    hashed once via dictionary encoding."""
     import pyarrow.compute as pc
 
     n = len(arr)
@@ -81,7 +85,7 @@ def _tokenize(arr: pa.Array):
     codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
     # hash the DICTIONARY (distinct tokens) straight from its Arrow
     # buffers — no Python string ever materializes on this path
-    tok_h = fast_hash64_utf8(denc.dictionary)[codes]
+    tok_h = hash64_utf8(denc.dictionary)[codes]
     return lens, tok_h
 
 
@@ -91,7 +95,7 @@ def _shingle_hashes(texts, k: int = 3):
     shorter than k words fall back to a whole-text shingle.
 
     Vectorized end-to-end: Arrow whitespace split + dictionary encode,
-    each distinct token SipHashed once, then k-gram hashes are
+    each distinct token hashed once, then k-gram hashes are
     position-weighted combinations of adjacent token hashes — no shingle
     strings and no per-document Python, so cost is O(total_tokens) kernel
     work plus one vocabulary hash. Accepts a Python sequence or an Arrow
@@ -138,7 +142,7 @@ def _shingle_hashes(texts, k: int = 3):
         short_idx = np.flatnonzero(short)
         # whole-text buffer hash; nulls hash as empty (matching the old
         # ``t or ""`` reading)
-        short_h = fast_hash64_utf8(arr.take(pa.array(short_idx)))
+        short_h = hash64_utf8(arr.take(pa.array(short_idx)))
         flat[offsets[short_idx]] = short_h
     return flat, offsets
 
@@ -231,10 +235,10 @@ def band_keys(sig: np.ndarray, bands: int = 32) -> np.ndarray:
 def simhash_signatures(texts) -> np.ndarray:
     """64-bit SimHash signatures (Charikar 2002) — sign of per-bit sums of
     token hashes. Tokenization is Arrow-kernel (:func:`_tokenize`, each
-    distinct token SipHashed once); one ``np.add.reduceat`` per bit for
+    distinct token hashed once); one ``np.add.reduceat`` per bit for
     the whole batch keeps memory at O(total_tokens) instead of a
-    tokens x 64 matrix. Docs with no tokens get the empty-string hash
-    as their signature (a single-sample majority)."""
+    tokens x 64 matrix. Docs with no tokens get ``_EMPTY_DOC_SIMHASH``
+    as their signature."""
     arr = _as_string_array(texts)
     lens, h = _tokenize(arr)
     n = len(lens)
@@ -253,7 +257,7 @@ def simhash_signatures(texts) -> np.ndarray:
             s |= ((2 * ones > ne_counts).astype(np.uint64)) << np.uint64(i)
         sig[nonempty] = s
     if (~nonempty).any():
-        sig[~nonempty] = hash64(np.asarray([""], dtype=object))[0]
+        sig[~nonempty] = _EMPTY_DOC_SIMHASH
     return sig
 
 
@@ -307,7 +311,7 @@ def ngram_jaccard(a: str, b: str, k: int = 3) -> float:
 
 
 # fingerprint reserved for NULL text: SQL PARTITION BY groups all NULLs
-# together but apart from '' — fast_hash64_utf8 reads nulls as '' so the
+# together but apart from '' — hash64_utf8 reads nulls as '' so the
 # override below restores the SQL reading (constant chosen by fair dice)
 _NULL_TEXT_FP = np.uint64(0xD1B54A32D192ED03)
 
@@ -317,7 +321,7 @@ def _text_fingerprints(col) -> np.ndarray:
     own dedup class, distinct from the empty string)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    h = fast_hash64_utf8(col)
+    h = hash64_utf8(col)
     if col.null_count:
         h[np.asarray(col.is_null())] = _NULL_TEXT_FP
     return h
@@ -353,9 +357,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     def fp_local(batch: pa.Table) -> pa.Table:
         # whole-text fingerprint straight from the Arrow buffers — the
         # r2 ``to_pylist``+hash_array object churn is gone (VERDICT r2
-        # item 1); hash64/hash_array remains only as the non-Arrow
-        # compatibility fallback, with equal-text-class parity pinned by
-        # tests/test_hashing.py. Nulls keep SQL semantics (own class).
+        # item 1). Nulls keep SQL semantics (own class).
         h = _text_fingerprints(batch.column(text_col))
         out = batch.select(list(keep))
         out = out.append_column("_fp", pa.array(h.view(np.int64), pa.int64()))
@@ -1178,9 +1180,10 @@ def sign_corpus(input_files: list, sig_dir: str, text_col: str = "text",
     # input file only — pin the store's parameters on first use and
     # refuse mismatched re-signing instead of silently mixing.
     # sig_algo pins the TOKEN-HASH implementation too: r3 changed the
-    # tokenizer hash (hash_array -> fast_hash64_utf8), so a store signed
-    # by r2 must be refused, not silently extended with incompatible
-    # signatures (stores without the key fail the equality check).
+    # tokenizer hash (hash_array -> the multilinear hash64_utf8), so a
+    # store signed by r2 must be refused, not silently extended with
+    # incompatible signatures (stores without the key fail the equality
+    # check).
     params = {"num_perm": num_perm, "bands": bands, "k": k,
               "method": method, "text_col": text_col, "id_col": id_col,
               "sig_algo": "oph-fasthash64-v1"}

@@ -32,7 +32,7 @@ import pyarrow as pa
 
 import ray
 
-from tdigest_ray.sketches.hashing import fast_hash64_utf8, splitmix64
+from tdigest_ray.sketches.hashing import hash64_utf8, splitmix64
 from tdigest_ray.stages.dedup import _tokenize
 from tdigest_ray.stages.graph import auto_partitions
 
@@ -50,7 +50,7 @@ def token_count_rows(ds, text_col: str = "text", id_col: str = "doc_id",
         lens, _ = _tokenize(_as_single_array(batch.column(text_col)))
         keep = lens > 0
         grp = _as_single_array(batch.column(group_col))
-        ghash = fast_hash64_utf8(grp)
+        ghash = hash64_utf8(grp)
         keep_arr = pa.array(keep)
         return pa.table({
             id_col: pa.array(ids[keep], pa.int64()),

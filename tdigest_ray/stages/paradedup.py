@@ -13,7 +13,7 @@ groupby over paragraph text):
 
 * **Winner selection never ships paragraph text.** Each block splits
   its documents, fingerprints every paragraph from the Arrow buffers
-  (``fast_hash64_utf8``), and emits only ``(doc_id, idx, fp)`` rows —
+  (``hash64_utf8``), and emits only ``(doc_id, idx, fp)`` rows —
   ~24 B/paragraph — into ONE bounded-partition shuffle
   (``groupby(_part = fp % P)``), where a vectorized sort + boundary
   diff marks every non-first occurrence as a removal. Equal-hash is
@@ -45,7 +45,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from tdigest_ray.sketches.hashing import fast_hash64_utf8
+from tdigest_ray.sketches.hashing import hash64_utf8
 from tdigest_ray.stages.common import as_single_array
 
 __all__ = [
@@ -179,12 +179,12 @@ def paragraph_removals(ds, text_col: str = "text", id_col: str = "doc_id",
         # hash the DICTIONARY (distinct in-block paragraphs), not every
         # occurrence — boilerplate-heavy corpora repeat paragraphs
         # thousands of times per block, and the C++ dictionary_encode
-        # hash pass is ~500x cheaper than per-occurrence SipHash (same
+        # hash pass is ~500x cheaper than per-occurrence hashing (same
         # trick as dedup._tokenize; measured 2.35s -> 5ms per 8k-doc
         # block on the pages corpus)
         denc = para.dictionary_encode()
         codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        h = fast_hash64_utf8(denc.dictionary)[codes]
+        h = hash64_utf8(denc.dictionary)[codes]
         part = (h % np.uint64(num_partitions)).astype(np.int64)
         return pa.table({
             id_col: rows.column(id_col),

@@ -14,7 +14,7 @@ Skew note: one key's history must fit a partition task (a key with
 PARTITIONS don't form, and per-partition work is linear in rows.
 
 Key contract: integer and string key columns are supported (strings
-hash via ``fast_hash64_utf8`` and pass through unchanged); float /
+hash via ``hash64_utf8`` and pass through unchanged); float /
 decimal keys are rejected up front — cast them first. Null keys form one
 key of their own (the library's null-group convention, like SQL's
 ``PARTITION BY``), sorted after every other key.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from tdigest_ray.sketches.hashing import fast_hash64_utf8, splitmix64
+from tdigest_ray.sketches.hashing import hash64_utf8, splitmix64
 from tdigest_ray.stages.graph import auto_partitions
 
 
@@ -57,7 +57,7 @@ def _key_hash(col) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if _is_str(col.type):
-        return fast_hash64_utf8(col)
+        return hash64_utf8(col)
     if not (pa.types.is_integer(col.type) or pa.types.is_boolean(col.type)):
         raise TypeError(
             f"sessionize key column must be integer or string, got "

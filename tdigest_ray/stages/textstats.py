@@ -367,16 +367,16 @@ def add_stopword_stats(batch: pa.Table, text_col: str = "text",
     whitespace tokens that equal a stopword, case-sensitive — SQL parity
     with ``list_contains``). Vectorized end-to-end: the shared Arrow
     tokenizer yields 64-bit token hashes per document, the stopword list
-    is hashed once with the same ``fast_hash64_utf8``, and membership is
+    is hashed once with the same ``hash64_utf8``, and membership is
     one ``np.isin`` + ``bincount`` over the whole batch. Token identity
     is hash-based (collisions ~|vocab|*|stopwords|*2^-64 per batch)."""
-    from tdigest_ray.sketches.hashing import fast_hash64_utf8
+    from tdigest_ray.sketches.hashing import hash64_utf8
     from tdigest_ray.stages.dedup import _tokenize
 
     lens, th = _tokenize(batch.column(text_col).combine_chunks())
     n = len(lens)
     if len(th):
-        stop_h = fast_hash64_utf8(pa.array(list(stopwords), pa.string()))
+        stop_h = hash64_utf8(pa.array(list(stopwords), pa.string()))
         mask = np.isin(th, stop_h)
         doc_of = np.repeat(np.arange(n), lens)
         n_stop = np.bincount(doc_of[mask], minlength=n).astype(np.int64)
@@ -395,12 +395,12 @@ def add_stopword_stats(batch: pa.Table, text_col: str = "text",
 def add_fingerprint(batch: pa.Table, text_col: str = "text",
                     out_col: str = "fingerprint") -> pa.Table:
     """Deterministic uint64 fingerprint of the text, hashed straight from
-    the Arrow string buffers (``fast_hash64_utf8`` — zero Python-object
+    the Arrow string buffers (``hash64_utf8`` — zero Python-object
     materialization; VERDICT r2 item 1); equal texts always collide,
     distinct texts collide with probability ~2^-64."""
-    from tdigest_ray.sketches.hashing import fast_hash64_utf8
+    from tdigest_ray.sketches.hashing import hash64_utf8
 
-    fp = fast_hash64_utf8(batch.column(text_col)).astype(np.int64)
+    fp = hash64_utf8(batch.column(text_col)).astype(np.int64)
     return batch.append_column(out_col, pa.array(fp, pa.int64()))
 
 

@@ -91,7 +91,7 @@ def tfidf_terms(ds, k: int = 10, text_col: str = "text",
     the tf-vs-df tradeoff differs, its top-k may legitimately differ
     from the default's. The per-partition top-k prune ranks by the SAME
     selected score, so the prune stays lossless for either choice."""
-    from tdigest_ray.sketches.hashing import fast_hash64_utf8
+    from tdigest_ray.sketches.hashing import hash64_utf8
     from tdigest_ray.stages.graph import auto_partitions
 
     if k < 1:
@@ -150,7 +150,7 @@ def tfidf_terms(ds, k: int = 10, text_col: str = "text",
                              minlength=len(u_tl)).astype(np.int64)
             df = np.bincount(pos, minlength=len(u_tl)).astype(np.int64)
         term_arr = tenc.dictionary.take(pa.array(u_tl % V, pa.int64()))
-        part = (fast_hash64_utf8(term_arr)
+        part = (hash64_utf8(term_arr)
                 % np.uint64(num_partitions)).astype(np.int64)
         return pa.table({
             group_col: lvals.take(pa.array(u_tl // V, pa.int64())),

@@ -26,7 +26,7 @@ import pyarrow as pa
 
 import ray
 
-from tdigest_ray.sketches.hashing import fast_hash64_utf8, splitmix64
+from tdigest_ray.sketches.hashing import hash64_utf8, splitmix64
 from tdigest_ray.stages.graph import auto_partitions
 
 
@@ -34,7 +34,7 @@ def _group_hash(col) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-        return fast_hash64_utf8(col)
+        return hash64_utf8(col)
     with np.errstate(over="ignore"):
         return splitmix64(
             col.to_numpy(zero_copy_only=False).astype(np.uint64))

@@ -1,11 +1,15 @@
 """Static contract checks on __ray_entry__ (the driver interface)."""
 
 import importlib.util
+import os
+
+ENTRY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "__ray_entry__.py")
 
 
 def load_entry():
     spec = importlib.util.spec_from_file_location(
-        "entry_under_test", "/root/repo/__ray_entry__.py")
+        "entry_under_test", ENTRY)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -36,7 +40,7 @@ def test_every_query_has_an_oracle():
 def test_no_ray_init_calls():
     import ast
 
-    tree = ast.parse(open("/root/repo/__ray_entry__.py").read())
+    tree = ast.parse(open(ENTRY).read())
     calls = [
         n.func.attr
         for n in ast.walk(tree)

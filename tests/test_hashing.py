@@ -1,19 +1,17 @@
-"""Parity pins for the Arrow-buffer string hashes (VERDICT r2 item 1).
+"""Pins for the one string hash (VERDICT r2 item 1).
 
 Two contracts:
 
-* ``hash64_utf8`` must be BIT-EXACT with ``pandas.util.hash_array`` on the
-  equivalent object array (the compatibility path — SipHash-2-4 of the
-  UTF-8 bytes, pandas' fixed key, pandas' finalizer mix).
-* ``fast_hash64_utf8`` (the hot-path multilinear hash) must induce the
-  SAME classes as TRUE text equality — equal texts always collide,
-  distinct texts never collide on the test corpora — so swapping it into
-  exact-dedup/fingerprinting changes hash VALUES but never dedup RESULTS.
+* ``hash64`` on text given as Python objects or numpy strings must be
+  BIT-EXACT with ``hash64_utf8`` on the equivalent Arrow column, so a
+  sketch fed an Arrow block and one fed a pandas block agree.
+* ``hash64_utf8`` (the multilinear block hash) must induce the SAME
+  classes as TRUE text equality — equal texts always collide, distinct
+  texts never collide on the test corpora, including texts that differ
+  only after an embedded NUL.
 
-Note the ground truths differ on embedded NULs: pandas hashes strings as
-null-terminated C strings (``"a\\x00b"`` == ``"a"``), a latent dedup bug
-the fast hash deliberately fixes; ``hash64_utf8`` reproduces the quirk
-for bit parity.
+``TestSipHashParity`` keeps its name from when ``hash64`` was pandas'
+SipHash ``hash_array``; it now pins the object path to the Arrow path.
 """
 
 from __future__ import annotations
@@ -25,11 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from tdigest_ray.sketches.hashing import (
-    fast_hash64_utf8,
-    hash64,
-    hash64_utf8,
-)
+from tdigest_ray.sketches.hashing import hash64, hash64_utf8
 
 EDGE_TEXTS = [
     "", "a", "ab", "x" * 7, "x" * 8, "x" * 9, "x" * 15, "x" * 16,
@@ -60,7 +54,7 @@ def _classes(keys) -> set:
 
 
 class TestSipHashParity:
-    def test_bit_exact_vs_hash_array(self):
+    def test_bit_exact_vs_object_path(self):
         texts = _corpus(1)
         expect = hash64(np.asarray(texts, dtype=object))
         got = hash64_utf8(pa.array(texts, pa.string()))
@@ -114,21 +108,18 @@ class TestSipHashParity:
             self._assert_parity(arr, texts)
 
     def test_embedded_nuls(self):
-        # hash_array factorizes an object array with a C-string hash table
-        # first, so a string with a NUL takes the hash of the first string
-        # of the batch that reads the same up to that NUL; hash64_utf8
-        # hashes the bytes before the first NUL. The two agree when each
-        # prefix comes first, as here.
+        # every byte counts: strings that differ only after a NUL hash
+        # differently, and the object path agrees with the Arrow path
         prefixes = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "x" * 16]
         texts = prefixes + [
             "a\x00b", "\x00", "\x00abc", "abcdefgh\x00ijk", "abcdefghi\x00",
-            "abcdefg\x00", "x" * 16 + "\x00" * 3, "a\x00b\x00c"]
+            "abcdefg\x00", "x" * 16 + "\x00" * 3, "a\x00b\x00c", "a\x00c"]
         self._assert_parity(pa.array(texts, pa.string()), texts)
         h = hash64_utf8(pa.array(texts, pa.string()))
-        assert h[texts.index("abcdefgh\x00ijk")] == h[texts.index("abcdefgh")]
+        assert len(set(h.tolist())) == len(texts)
 
     def test_large_string(self):
-        texts = _corpus(10)[len(EDGE_TEXTS):]  # NUL-free
+        texts = _corpus(10)
         arr = pa.array(texts, pa.large_string())
         self._assert_parity(arr, texts)
         self._assert_parity(arr.slice(5, 100), texts[5:105])
@@ -140,25 +131,25 @@ class TestFastHashDedupParity:
         texts = _corpus(seed)
         arr = pa.array(texts, pa.string())
         truth = _classes(texts)  # group by the text itself
-        fast_classes = _classes(fast_hash64_utf8(arr))
+        fast_classes = _classes(hash64_utf8(arr))
         assert fast_classes == truth
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_classes_match_hash_array_on_nul_free_text(self, seed):
-        # on NUL-free corpora the pandas path and the fast path must
-        # induce identical dedup classes (swap-compatibility pin)
+        # the object path (pandas' hash_array until the one string hash)
+        # and the Arrow path induce identical dedup classes
         texts = [t.replace("\x00", "~") for t in _corpus(seed)]
         arr = pa.array(texts, pa.string())
         ref_classes = _classes(hash64(np.asarray(texts, dtype=object)))
-        assert _classes(fast_hash64_utf8(arr)) == ref_classes
+        assert _classes(hash64_utf8(arr)) == ref_classes
 
     def test_consistent_across_slices_and_chunks(self):
         texts = _corpus(6)
         arr = pa.array(texts, pa.string())
-        whole = fast_hash64_utf8(arr)
-        assert (fast_hash64_utf8(arr.slice(11, 60)) == whole[11:71]).all()
+        whole = hash64_utf8(arr)
+        assert (hash64_utf8(arr.slice(11, 60)) == whole[11:71]).all()
         chunked = pa.chunked_array([arr.slice(0, 23), arr.slice(23)])
-        assert (fast_hash64_utf8(chunked) == whole).all()
+        assert (hash64_utf8(chunked) == whole).all()
 
     def test_single_block_difference_never_collides(self):
         # odd multipliers are invertible mod 2^64: flipping bytes inside
@@ -167,23 +158,23 @@ class TestFastHashDedupParity:
         variants = [base] + [
             base[:j] + "B" + base[j + 1:] for j in range(64)
         ]
-        h = fast_hash64_utf8(pa.array(variants))
+        h = hash64_utf8(pa.array(variants))
         assert len(set(h.tolist())) == len(variants)
 
     def test_length_and_order_sensitivity(self):
         texts = ["abcdefghXYZ", "XYZabcdefgh", "abcdefgh", "abcdefgh\x00",
                  "abcdefg", "", "\x00", "\x00\x00"]
-        h = fast_hash64_utf8(pa.array(texts))
+        h = hash64_utf8(pa.array(texts))
         assert len(set(h.tolist())) == len(texts)
 
     def test_no_collisions_on_large_distinct_corpus(self):
         arr = pa.array([f"doc-{i}-{i * i}" for i in range(200_000)])
-        h = fast_hash64_utf8(arr)
+        h = hash64_utf8(arr)
         assert len(np.unique(h)) == len(arr)
 
     def test_nulls_hash_as_empty(self):
         arr = pa.array(["a", None, ""], pa.string())
-        h = fast_hash64_utf8(arr)
+        h = hash64_utf8(arr)
         assert h[1] == h[2]
 
 
@@ -199,7 +190,7 @@ class TestFastHashProperties:
             min_size=1, max_size=40))
         def prop(texts):
             arr = pa.array(texts, pa.string())
-            h = fast_hash64_utf8(arr)
+            h = hash64_utf8(arr)
             for i in range(len(texts)):
                 for j in range(i + 1, len(texts)):
                     if texts[i] == texts[j]:
@@ -209,18 +200,42 @@ class TestFastHashProperties:
 
         prop()
 
-    def test_hypothesis_sip_parity(self):
+    def test_hypothesis_one_hash_every_entry_point(self):
+        # text with NULs, non-ASCII, "" and None hashes alike on every
+        # route into a sketch
         from hypothesis import given, settings, strategies as st
+
+        from tdigest_ray.sketches.base import column_hashes
 
         @settings(max_examples=150, deadline=None)
         @given(st.lists(
-            st.text(alphabet=st.characters(blacklist_characters="\x00",
-                                           blacklist_categories=("Cs",)),
-                    max_size=200),
-            min_size=1, max_size=30))
-        def prop(texts):
-            arr = pa.array(texts, pa.string())
+            st.one_of(st.none(), st.text(
+                alphabet=st.characters(blacklist_categories=("Cs",)),
+                max_size=60)),
+            min_size=1, max_size=30), st.integers(0, 30))
+        def prop(texts, cut):
             expect = hash64(np.asarray(texts, dtype=object))
-            assert (hash64_utf8(arr) == expect).all()
+            arr = pa.array(texts, pa.string())
+            routes = {
+                "list": hash64(texts),
+                "string": hash64_utf8(arr),
+                "large_string": hash64_utf8(arr.cast(pa.large_string())),
+                "sliced": hash64_utf8(
+                    pa.array(["pad"] * 3 + texts, pa.string()).slice(3)),
+                "chunked": hash64_utf8(pa.chunked_array(
+                    [arr.slice(0, cut), arr.slice(cut)])),
+            }
+            for route, got in routes.items():
+                assert (got == expect).all(), route
+            null = np.array([t is None for t in texts])
+            assert (expect[null] == hash64_utf8(pa.array([""]))[0]).all()
+            # the dictionary path drops nulls
+            h = column_hashes(pa.table({"s": arr}), "s")
+            assert (h == expect[~null]).all()
+            # numpy's fixed-width strings drop trailing NULs, so a numpy
+            # array can only carry texts without one
+            present = [t for t in texts if t is not None]
+            if present and not any(t.endswith("\x00") for t in present):
+                assert (hash64(np.array(present)) == expect[~null]).all()
 
         prop()

@@ -291,3 +291,140 @@ class TestPrehashedStringParity:
         exact = len(np.unique(col.drop_null().to_numpy(
             zero_copy_only=False)))
         assert abs(res["nd"] - exact) <= max(1, round(0.03 * exact))
+
+
+NUL_TEXTS = ["a\x00b", "x", "a\x00c", "yy"]
+
+
+class TestOneStringHash:
+    """Arrow blocks (``column_hashes``) and Python/pandas input hash a
+    string the same way, NULs and all, so the sketches agree across
+    block types."""
+
+    def test_bloom_no_false_negative_on_nul_strings(self):
+        from tdigest_ray.sketches.base import column_hashes
+
+        bf = BloomFilter.from_capacity(1000)
+        bf.update(column_hashes(pa.table({"k": ["a\x00b", "zz"]}), "k"))
+        assert bf.contains(np.array(["a\x00b"], dtype=object)).tolist() == [
+            True]
+        assert bf.contains(["a"]).tolist() == [False]
+
+    def test_hll_arrow_block_equals_arrow_plus_object_block(self):
+        from tdigest_ray.sketches.base import column_hashes
+
+        one = HLL(12)
+        one.update(column_hashes(pa.table({"k": NUL_TEXTS}), "k"))
+        two = HLL(12)
+        two.update(column_hashes(pa.table({"k": NUL_TEXTS[:2]}), "k"))
+        two.update(np.array(NUL_TEXTS[2:], dtype=object))
+        assert np.array_equal(one.registers, two.registers)
+
+    def test_countmin_query_on_objects_counts_arrow_updates(self):
+        from tdigest_ray.sketches.base import column_hashes
+
+        counts = [3, 1, 2, 5]
+        col = [t for t, c in zip(NUL_TEXTS, counts) for _ in range(c)]
+        cm = CountMin(4, 2048)
+        cm.update(column_hashes(pa.table({"k": col}), "k"))
+        est = cm.query(np.array(NUL_TEXTS, dtype=object))
+        assert est.tolist() == counts
+
+
+def _bloom_reference(nbits, k, h):
+    """The filter's bits set through ``np.bitwise_or.at``, positions
+    reduced with ``%``."""
+    from tdigest_ray.sketches.hashing import splitmix64
+
+    bits = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    h2 = splitmix64(h) | np.uint64(1)
+    with np.errstate(over="ignore"):
+        pos = ((h[None, :] + np.arange(k, dtype=np.uint64)[:, None]
+                * h2[None, :]) % np.uint64(nbits)).astype(np.int64).ravel()
+    np.bitwise_or.at(bits, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8))
+    return bits
+
+
+class TestScatterKernels:
+    """Bloom and count-min updates equal their ``ufunc.at`` references
+    bit for bit."""
+
+    def test_hypothesis_bloom_bits_equal_reference(self):
+        from hypothesis import given, settings, strategies as st
+
+        hashes = st.lists(st.integers(0, 2**64 - 1), max_size=300).map(
+            lambda v: np.array(v, dtype=np.uint64))
+
+        @settings(max_examples=150, deadline=None)
+        @given(hashes, st.integers(8, 1 << 13), st.booleans(),
+               st.integers(1, 8), st.integers(0, 2))
+        def prop(h, nbits, pow2, k, batches):
+            if pow2:
+                nbits = 1 << nbits.bit_length()
+            bf = BloomFilter(nbits, k)
+            ref = np.zeros_like(bf.bits)
+            # bitmap branch (nbits <= 8 * probes) and the ufunc.at branch
+            # (a small batch into a big filter) both meet every filter
+            for part in np.array_split(h, batches + 1):
+                bf.update(part)
+                ref |= _bloom_reference(nbits, k, part)
+            assert np.array_equal(bf.bits, ref)
+            assert bf.contains(h).all()
+
+        prop()
+
+    def test_bloom_branches_both_taken(self):
+        rng = np.random.default_rng(5)
+        h = rng.integers(0, 2**64, 5000, dtype=np.uint64)
+        for nbits, k, n in [(1 << 12, 3, 5000), (1 << 20, 7, 10),
+                            (10007, 4, 5000), (10007, 4, 3)]:
+            bf = BloomFilter(nbits, k)
+            bf.update(h[:n])
+            assert np.array_equal(bf.bits, _bloom_reference(nbits, k, h[:n]))
+
+    def test_hypothesis_countmin_table_equals_reference(self):
+        from hypothesis import given, settings, strategies as st
+
+        from tdigest_ray.sketches.hashing import derive_hash
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.lists(st.integers(0, 2**64 - 1), max_size=300),
+               st.integers(1, 6), st.integers(1, 3000), st.booleans())
+        def prop(values, depth, width, weighted):
+            h = np.array(values, dtype=np.uint64)
+            # weights above 2^53, where float64 bincount weights round
+            w = ((np.arange(len(h), dtype=np.int64) % 5 + 1) * (2**52 + 1)
+                 if weighted else None)
+            cm = CountMin(depth, width)
+            cm.update(h, w)
+            ref = np.zeros((depth, width), dtype=np.int64)
+            for r in range(depth):
+                idx = (derive_hash(h, r) % np.uint64(width)).astype(np.int64)
+                np.add.at(ref[r], idx, 1 if w is None else w)
+            assert np.array_equal(cm.table, ref)
+
+        prop()
+
+
+class TestHeavyHittersArrow:
+    def test_arrow_block_matches_object_path_on_zipf_strings(self):
+        import pickle
+
+        from tdigest_ray.aggregates import HeavyHittersAgg
+        from tdigest_ray.sketches.base import column_array
+
+        rng = np.random.default_rng(11)
+        vals = [f"item-{z}" for z in rng.zipf(1.3, 20000)]
+        vals[::97] = [None] * len(vals[::97])
+        vals[1::89] = ["nul\x00" + str(i % 7) for i in range(len(vals[1::89]))]
+        tbl = pa.table({"k": pa.array(vals, pa.string())})
+        agg = HeavyHittersAgg("k", candidates=64)
+        cm_bytes, cand = pickle.loads(agg.aggregate_block(tbl))
+
+        values = column_array(tbl, "k")
+        ref = CountMin(5, 8192)
+        ref.update(values)
+        uniq, counts = np.unique(values, return_counts=True)
+        top = uniq[np.argsort(-counts, kind="stable")[:64]]
+        assert cm_bytes == ref.to_bytes()
+        assert len(cand) == 64 and set(cand) == set(top.tolist())

@@ -151,6 +151,18 @@ class TestDedup:
         assert d_ab < d_ac
         assert d_ab <= 10
 
+    def test_empty_doc_simhash_pinned(self):
+        # a document without tokens keeps the signature it had when the
+        # "oph-fasthash64-v1" stores were written: pandas' hash of ""
+        from pandas.util import hash_array
+
+        assert dedup._EMPTY_DOC_SIMHASH == np.uint64(1760245841805064774)
+        assert dedup._EMPTY_DOC_SIMHASH == hash_array(
+            np.asarray([""], dtype=object))[0]
+        sig = dedup.simhash_signatures(["", "   ", "some words here"])
+        assert (sig[:2] == dedup._EMPTY_DOC_SIMHASH).all()
+        assert sig[2] != dedup._EMPTY_DOC_SIMHASH
+
     def test_oph_estimator_matches_kperm(self):
         # OPH (one hash pass) and the k-permutation variant estimate the
         # same jaccard within MinHash sampling variance (~1/sqrt(128))

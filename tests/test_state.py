@@ -1,12 +1,15 @@
 """Checkpointed state, the job entrypoint scripts and the signature store."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pyarrow as pa
 import pytest
 import ray
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_run_flagship_script(tmp_path):
@@ -21,7 +24,7 @@ def test_run_flagship_script(tmp_path):
         "--input", pages_dir, "--output", str(out1),
         "--checkpoint-dir", str(ckpt), "--compression", "50",
     ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd="/root/repo")
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(
         [l for l in proc.stdout.splitlines() if l.startswith("{")][-1])
@@ -32,7 +35,7 @@ def test_run_flagship_script(tmp_path):
     out2 = tmp_path / "out2"
     cmd[cmd.index(str(out1))] = str(out2)
     proc2 = subprocess.run(cmd, capture_output=True, text=True,
-                           cwd="/root/repo")
+                           cwd=ROOT)
     assert proc2.returncode == 0, proc2.stderr[-2000:]
     assert "[ckpt] done" not in proc2.stdout  # nothing re-processed
 
@@ -237,7 +240,7 @@ def test_run_dedup_script(tmp_path):
         "--output", str(tmp_path / "out"), "--threshold", "0.5",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True,
-                          cwd="/root/repo")
+                          cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(
         [l for l in proc.stdout.splitlines() if l.startswith("{")][-1])
@@ -250,7 +253,7 @@ def test_run_dedup_script(tmp_path):
     assert got == {0: 0, 2: 0}
 
     proc2 = subprocess.run(cmd, capture_output=True, text=True,
-                           cwd="/root/repo")
+                           cwd=ROOT)
     assert proc2.returncode == 0, proc2.stderr[-2000:]
     report2 = json.loads(
         [l for l in proc2.stdout.splitlines() if l.startswith("{")][-1])

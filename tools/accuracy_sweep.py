@@ -6,11 +6,13 @@ percentiles, compare against the reference's regression tolerance, and
 emit ACCURACY.md.
 """
 
+import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 from tdigest_ray.sketches.tdigest import TDigest  # noqa: E402
 from tdigest_ray.sources.synthetic import distribution_families  # noqa: E402
@@ -86,7 +88,7 @@ def main():
         "Regenerate with `python tools/accuracy_sweep.py`.",
     ]
     out = "\n".join(lines) + "\n"
-    with open("/root/repo/ACCURACY.md", "w") as f:
+    with open(os.path.join(ROOT, "ACCURACY.md"), "w") as f:
         f.write(out)
     print(out)
 

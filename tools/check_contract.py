@@ -2,6 +2,7 @@
 entry at the given sf and compare against oracle_sql() via DuckDB
 (row count + column names + order-insensitive values)."""
 
+import os
 import sys
 
 import duckdb
@@ -10,7 +11,8 @@ import pandas as pd
 
 import ray
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 
 def to_df(res) -> pd.DataFrame:
