@@ -8,9 +8,13 @@ Example::
         --checkpoint-dir /data/ckpt --compression 100
 
 Runs the per-language digest rollup over a Common-Crawl-style pages table
-with checkpointed, resumable execution: one atomic Parquet part per input
-file (with lineage metadata), resume by set-difference, final merge via
-``tdigest(tdigest) GROUP BY lang``, quantile summary written as Parquet.
+and writes the quantile summary of every feature (``text_len``,
+``token_count``, ``html_size``) as Parquet. With ``--checkpoint-dir`` the
+run is checkpointed and resumable: one atomic Parquet part per input file
+(with lineage metadata), resume by set-difference, then every
+``*_digest`` column of the parts is merged in the driver
+(``tdigest(tdigest) GROUP BY lang``, ``checkpoint.merged_result``).
+Both modes write the same columns.
 
 On a cluster the driver connects to the running Ray cluster via
 ``RAY_ADDRESS``; standalone it starts a local session.
@@ -25,6 +29,7 @@ import os
 import sys
 import time
 
+import pyarrow.parquet as pq
 import ray
 
 # resolve the library when launched as `python scripts/run_flagship.py`
@@ -70,9 +75,15 @@ def main() -> None:
             files, args.checkpoint_dir, digest_fn,
             on_progress=lambda f: print(f"[ckpt] done {f}", flush=True),
         )
-        merged = checkpoint.merged_result(parts, "lang", "text_len_digest")
+        # every feature digest the parts hold, so both modes report the
+        # same columns
+        digest_cols = list(dict.fromkeys(
+            c for p in parts for c in pq.read_schema(p).names
+            if c.endswith("_digest")))
+        merged = checkpoint.merged_result(parts, "lang", digest_cols)
         summary = flagship.finalize_quantiles(
-            merged, features=("text_len",), percentiles=args.percentiles)
+            merged, features=[c.removesuffix("_digest") for c in digest_cols],
+            percentiles=args.percentiles)
         lineage = checkpoint.lineage(args.checkpoint_dir)
         rows_in = sum(r["input_rows"] for r in lineage)
     else:

@@ -197,10 +197,15 @@ def _decode_centroids(b: bytes) -> tuple[np.ndarray, np.ndarray]:
     return means, counts
 
 
-def merge_blobs(blobs) -> TDigest | None:
+def merge_blobs(blobs, acc: TDigest | None = None) -> TDigest | None:
     """Merge an iterable of binary digests (``None`` entries skipped) into
     one digest, or ``None`` when no digest is present. The result is not
     given a final compaction; callers compact before storing it.
+
+    ``acc`` continues an earlier merge in place:
+    ``merge_blobs(b, merge_blobs(a))`` is the same state as
+    ``merge_blobs([*a, *b])``, so a merge can stream over inputs that
+    arrive in pieces.
 
     The first digest seeds the state as decoded, so it keeps its
     compression (first-seen wins, tdigest.c:1504-1513) and a lone digest
@@ -208,7 +213,6 @@ def merge_blobs(blobs) -> TDigest | None:
     re-inserted through :meth:`TDigest.add_centroids`, exactly as
     :meth:`TDigest.merge_digest` would. The inputs are streamed, never
     concatenated, so memory stays bounded by the merge buffer."""
-    acc = None
     for b in blobs:
         if b is None:
             continue

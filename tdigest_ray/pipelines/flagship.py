@@ -101,7 +101,7 @@ def grouped_digests_table(ds, group_col: str = "lang",
                           features=DEFAULT_FEATURES,
                           compression: int = 100):
     """Per-FILE finisher for checkpointed runs: map-side partials plus
-    ONE driver-side merge of the tiny partial table
+    ONE driver-side fold of the partial blocks
     (``partial.merge_partial_digest_table``) — returns a ``pa.Table``
     with the same schema as :func:`grouped_digests`.
 
@@ -130,11 +130,12 @@ def grouped_digests_table(ds, group_col: str = "lang",
         schema = ds.schema()
         return _empty_digests(schema, group_col,
                               _checked_features(schema, features))
-    tbl = pa.concat_tables(tables, promote_options="permissive")
-    present = [f for f in features if f"{f}_digest" in tbl.column_names]
+    # every block comes out of one partial_fn over one read's columns
+    present = [f for f in features
+               if f"{f}_digest" in tables[0].column_names]
     if not present:
         _checked_features(ds.schema(), features)  # raises, naming the columns
-    return merge_partial_digest_table(tbl, [group_col], present)
+    return merge_partial_digest_table(tables, [group_col], present)
 
 
 def finalize_quantiles(digest_table, features=DEFAULT_FEATURES,

@@ -207,30 +207,59 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
                                  [f"{c}_digest" for c in value_cols])
 
 
-def merge_partial_digest_table(tbl: pa.Table, key_cols, value_cols) -> pa.Table:
-    """Driver-side finish of a partial-digest table — the per-FILE
-    checkpoint path's finisher (``checkpoint.run_partition`` accepts the
-    returned ``pa.Table`` directly).
+def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
+    """Driver-side ``tdigest(tdigest) GROUP BY keys`` over one
+    partial-digest table or an iterable of them, folded one table at a
+    time: the per-file finisher (``flagship.grouped_digests_table``) and
+    the merge of the checkpoint parts (``checkpoint.merged_result``).
 
-    Equivalent result to :func:`merge_grouped_digests`, but the input here
-    is tiny BY CONSTRUCTION (#blocks x #groups rows for one input file),
-    so the coalesce-repartition + groupby barriers — whose fixed cost
-    dominates a per-file pipeline (measured ~3.6 s/file wall for
-    ~0.5 core-s of actual work) — are replaced by one in-process merge
-    over a few dozen rows. Merge-order independence within the
-    published accuracy bound is the library's core digest contract.
-    Groups come out in key order, null keys last and kept as null (no
-    mask/unmask round trip needed off the groupby machinery)."""
+    Same semantics as :func:`merge_grouped_digests` without its
+    repartition and sort-shuffle barriers, whose fixed costs dominate a
+    merge of a few dozen rows. Each group's blobs fold through
+    ``serde.merge_blobs`` into one state per (group, ``<value>_digest``
+    column), so memory is one table plus those states. The result is
+    byte-identical to a merge of ``pa.concat_tables(tables,
+    promote_options="permissive")``: blobs merge in input order and the
+    first one seeds the state (its compression wins). Groups come out in
+    key order, null keys last and kept as null; a group with no non-null
+    digest gets a null digest."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = ([value_cols] if isinstance(value_cols, str)
                   else list(value_cols))
-    tbl, starts, ends = _group_slices(tbl, key_cols)
-    cols = {k: tbl.column(k).take(starts) for k in key_cols}
-    for c in value_cols:
-        blobs = tbl.column(f"{c}_digest")
-        cols[f"{c}_digest"] = pa.array(
-            [_wire(serde.merge_blobs(blobs.slice(s, e - s).to_pylist()))
-             for s, e in zip(starts.tolist(), ends.tolist())], pa.binary())
+    digest_cols = [f"{c}_digest" for c in value_cols]
+    if isinstance(tables, pa.Table):
+        tables = [tables]
+    index = {}    # key tuple -> position in ``keys`` / ``accs``
+    accs = []     # per group: one merge state (or None) per digest column
+    keys = None   # the key columns of each group, in first-seen order
+    for tbl in tables:
+        tbl, starts, ends = _group_slices(tbl, key_cols)
+        firsts = tbl.select(key_cols).take(starts)
+        blobs = [tbl.column(c).to_pylist() for c in digest_cols]
+        rows = (zip(*(firsts.column(k).to_pylist() for k in key_cols))
+                if key_cols else [()] * len(starts))
+        new = []
+        for g, (key, s, e) in enumerate(zip(rows, starts.tolist(),
+                                            ends.tolist())):
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(accs)
+                accs.append([None] * len(digest_cols))
+                new.append(g)
+            acc = accs[i]
+            for j, col in enumerate(blobs):
+                acc[j] = serde.merge_blobs(col[s:e], acc[j])
+        firsts = firsts.take(pa.array(new, pa.int64()))
+        keys = (firsts if keys is None else pa.concat_tables(
+            [keys, firsts], promote_options="permissive"))
+    if keys is None:  # no tables at all
+        keys = pa.table({k: pa.array([], pa.null()) for k in key_cols})
+    order = (pc.sort_indices(keys, [(k, "ascending") for k in key_cols])
+             .to_numpy() if key_cols else np.arange(len(accs)))
+    cols = {k: keys.column(k).take(order) for k in key_cols}
+    for j, c in enumerate(digest_cols):
+        cols[c] = pa.array([_wire(accs[i][j]) for i in order.tolist()],
+                           pa.binary())
     return pa.table(cols)
 
 

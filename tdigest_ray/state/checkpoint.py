@@ -283,12 +283,28 @@ def atomic_output_swap(ds, output_dir: str,
     return n_parts
 
 
-def merged_result(part_paths: list[str], group_col: str, digest_col: str):
-    """Read all checkpoint parts and merge their digests per group —
-    ``tdigest(tdigest) GROUP BY key`` over the checkpoint table, through
-    the distributed merge (``partial.merge_grouped_digests``). A null
-    group key, which parts keep as null, merges into one null-key row."""
-    from tdigest_ray.stages.partial import merge_grouped_digests
+def merged_result(part_paths: list[str], group_col: str, digest_cols):
+    """``tdigest(tdigest) GROUP BY group_col`` over the checkpoint parts,
+    for one ``<feature>_digest`` column or a list of them, as a one-block
+    Dataset.
 
-    return merge_grouped_digests(ray.data.read_parquet(part_paths),
-                                 group_col, digest_col)
+    The parts are read and folded in the driver one at a time
+    (``partial.merge_partial_digest_table``), so driver memory is one
+    part plus one merge state per (group, column). This route is
+    driver-bound by design (each file's partials are merged, and each
+    part written, from the driver); a sort-shuffle groupby over a few
+    rows per part costs mostly executor fixed costs. The bytes equal one
+    merge of all parts' rows; a null group key merges into one row, last.
+    """
+    from tdigest_ray.stages.partial import merge_partial_digest_table
+
+    digest_cols = ([digest_cols] if isinstance(digest_cols, str)
+                   else list(digest_cols))
+    features = [c.removesuffix("_digest") for c in digest_cols]
+    if [f"{f}_digest" for f in features] != digest_cols:
+        raise ValueError(
+            f"digest columns must be named <feature>_digest: {digest_cols}")
+    parts = (pq.read_table(p, columns=[group_col, *digest_cols])
+             for p in part_paths)
+    return ray.data.from_arrow(
+        merge_partial_digest_table(parts, [group_col], features))

@@ -3,10 +3,15 @@ per-language digest pipeline, checkpoint/resume, and the
 byte-identical text-extraction invariant from BASELINE.json input_hint."""
 
 import os
+import tempfile
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
+import ray
+from hypothesis import given, settings, strategies as st
 
 from tdigest_ray.functions import serde
 from tdigest_ray.pipelines import flagship
@@ -166,6 +171,159 @@ def test_merged_result_null_group_key(tmp_path):
     assert serde.digest_count(got.pop(None)) == n_null > 0
     assert got == merged(null_free)
     assert set(got) == {"de", "en", "fr"}
+
+
+class TestMergedResultFold:
+    """``merged_result`` folds the parts in the driver, part by part. It
+    must give the bytes of one merge over all parts' rows at once."""
+
+    COLS = ["a_digest", "b_digest"]
+
+    @staticmethod
+    def _schema():
+        return pa.schema([("lang", pa.string()), ("a_digest", pa.binary()),
+                          ("b_digest", pa.binary())])
+
+    @staticmethod
+    def _table(ds):
+        return pa.concat_tables(ray.get(list(ds.to_arrow_refs())))
+
+    @staticmethod
+    def _oracle(parts, cols):
+        """One merge of the concatenated rows: stable sort by key, then
+        each group's blobs merged in row order (null keys last)."""
+
+        from tdigest_ray.stages.partial import _group_slices, _wire
+
+        tbl, starts, ends = _group_slices(
+            pa.concat_tables(parts, promote_options="permissive"), ["lang"])
+        out = {"lang": tbl.column("lang").take(starts)}
+        for c in cols:
+            blobs = tbl.column(c).to_pylist()
+            out[c] = pa.array([_wire(serde.merge_blobs(blobs[s:e]))
+                               for s, e in zip(starts, ends)], pa.binary())
+        return pa.table(out)
+
+    def _write(self, parts, root):
+        paths = []
+        for i, part in enumerate(parts):
+            paths.append(os.path.join(root, f"part-{i}.parquet"))
+            pq.write_table(part, paths[-1])
+        return paths
+
+    def test_hypothesis_parity(self):
+        from tdigest_ray.sketches.tdigest import TDigest
+        from tdigest_ray.stages.partial import merge_partial_digest_table
+
+        def blob(spec):
+            if spec is None:
+                return None
+            comp, seed, n = spec
+            d = TDigest(comp)
+            d.add_many(np.random.default_rng(seed).lognormal(3.0, 1.0, n))
+            d.compress()
+            return serde.to_bytes(d)
+
+        # a digest cell: null (a group with no values) or a digest whose
+        # compression varies, so the first-seen compression must win
+        cell = st.one_of(st.none(), st.tuples(
+            st.sampled_from([10, 50, 100]), st.integers(0, 2**16),
+            st.integers(1, 300)))
+        # duplicate keys inside one part, null keys, zero-row parts
+        row = st.tuples(st.sampled_from(["de", "en", "fr", None]), cell, cell)
+        parts_st = st.lists(st.lists(row, max_size=6), min_size=1,
+                            max_size=4)
+
+        @settings(max_examples=40, deadline=None)
+        @given(parts_st)
+        def check(spec):
+            parts = [pa.table({"lang": [r[0] for r in rows],
+                               "a_digest": [blob(r[1]) for r in rows],
+                               "b_digest": [blob(r[2]) for r in rows]},
+                              schema=self._schema())
+                     for rows in spec]
+            with tempfile.TemporaryDirectory() as root:
+                got = self._table(checkpoint.merged_result(
+                    self._write(parts, root), "lang", self.COLS))
+            want = merge_partial_digest_table(
+                pa.concat_tables(parts, promote_options="permissive"),
+                "lang", ["a", "b"])
+            assert got.equals(want)
+            assert got.equals(self._oracle(parts, self.COLS))
+            # the frozen one-column call gives that column's bytes
+            with tempfile.TemporaryDirectory() as root:
+                one = self._table(checkpoint.merged_result(
+                    self._write(parts, root), "lang", "a_digest"))
+            assert one.equals(want.select(["lang", "a_digest"]))
+
+        check()
+
+    def test_all_parts_empty(self, tmp_path):
+        empty = self._schema().empty_table()
+        got = self._table(checkpoint.merged_result(
+            self._write([empty, empty], str(tmp_path)), "lang", self.COLS))
+        assert got.num_rows == 0
+        assert got.schema.equals(self._schema())
+
+    @pytest.mark.parametrize("where", ["first", "later"])
+    def test_corrupt_blob_raises(self, tmp_path, where):
+        from tdigest_ray.stages.partial import make_partial_digest_fn
+
+        good = make_partial_digest_fn(["lang"], ["a", "b"])(pa.table({
+            "lang": pa.array(["en"] * 50, pa.string()),
+            "a": np.arange(50.0), "b": np.arange(50.0)}))
+        blob = good.column("a_digest")[0].as_py()
+        bad = good.set_column(1, "a_digest",
+                              pa.array([blob[:-1]], pa.binary()))
+        parts = [bad, good] if where == "first" else [good, bad]
+        paths = self._write(parts, str(tmp_path))
+        with pytest.raises(ValueError, match="invalid t-digest binary length"):
+            checkpoint.merged_result(paths, "lang", self.COLS)
+
+    def test_no_shuffle_in_the_executed_plan(self, tmp_path, monkeypatch):
+        """The whole merge-finalize-write runs as ONE Dataset, a
+        ``FromArrow`` plus the finalize map: no Aggregate, Repartition or
+        Sort operator (a sort-shuffle groupby is mostly executor fixed
+        costs at a few rows per part)."""
+
+        from tdigest_ray.stages.partial import make_partial_digest_fn
+
+        rng = np.random.default_rng(3)
+        fn = make_partial_digest_fn(["lang"], ["a", "b"])
+        langs = [rng.choice(["de", "en", None], 80).tolist()
+                 for _ in range(3)]
+        exact = {k: sum(ls.count(k) for ls in langs)
+                 for k in ("de", "en", None)}
+        paths = self._write([fn(pa.table({
+            "lang": pa.array(ls, pa.string()),
+            "a": rng.random(80), "b": rng.random(80)})) for ls in langs],
+            str(tmp_path))
+
+        written = []
+        write = ray.data.Dataset.write_parquet
+
+        def recording_write(ds, *args, **kwargs):
+            written.append(ds)
+            return write(ds, *args, **kwargs)
+
+        monkeypatch.setattr(ray.data.Dataset, "write_parquet",
+                            recording_write)
+        checkpoint.atomic_output_swap(
+            flagship.finalize_quantiles(
+                checkpoint.merged_result(paths, "lang", self.COLS),
+                features=["a", "b"]),
+            str(tmp_path / "out"))
+        assert len(written) == 1
+        ops, stack = [], [written[0]._logical_plan.dag]
+        while stack:
+            op = stack.pop()
+            ops.append(op.name)
+            stack.extend(op.input_dependencies)
+        assert not [o for o in ops
+                    if o.split("(")[0] in ("Aggregate", "Repartition",
+                                           "Sort")], ops
+        out = pq.read_table(str(tmp_path / "out")).to_pylist()
+        assert {r["lang"]: r["a_count"] for r in out} == exact
 
 
 class TestCuration:

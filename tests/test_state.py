@@ -40,6 +40,40 @@ def test_run_flagship_script(tmp_path):
     assert "[ckpt] done" not in proc2.stdout  # nothing re-processed
 
 
+def test_run_flagship_script_same_output_both_ways(tmp_path):
+    """With and without ``--checkpoint-dir`` the CLI writes the same
+    columns — every feature's quantiles and count — and the exact same
+    per-language counts."""
+    import pyarrow.parquet as pq
+
+    from tdigest_ray.sources import pages
+
+    pages_dir = pages.pages_path(1500, root=str(tmp_path / "pages"), shards=3)
+    outs = {}
+    for mode, extra in (("plain", []),
+                        ("ckpt", ["--checkpoint-dir", str(tmp_path / "ckpt")])):
+        out = str(tmp_path / f"out-{mode}")
+        proc = subprocess.run(
+            [sys.executable, "scripts/run_flagship.py", "--input", pages_dir,
+             "--output", out, "--compression", "50", *extra],
+            capture_output=True, text=True, cwd=ROOT)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs[mode] = pq.read_table(out)
+    plain, ckpt = outs["plain"], outs["ckpt"]
+    assert ckpt.column_names == plain.column_names
+    counts = [f"{f}_count" for f in ("text_len", "token_count", "html_size")]
+    assert set(counts) <= set(plain.column_names)
+    exact = (pq.read_table(pages_dir, columns=["lang"]).to_pandas()
+             .groupby("lang").size())
+
+    def by_lang(tbl):
+        return tbl.to_pandas().set_index("lang").sort_index()[counts]
+
+    assert by_lang(ckpt).equals(by_lang(plain))
+    for c in counts:
+        assert (by_lang(ckpt)[c] == exact.sort_index()).all()
+
+
 class TestSignatureStore:
     def test_sign_resume_and_dedup_from_store(self, tmp_path):
         """Checkpointed signature pass: resumable per input file, and
