@@ -828,7 +828,7 @@ def q_embedding_neardup(sf_dir: str):
 
 
 def q_tdigest_tree(sf_dir: str):
-    """The two-level tree-merge scale path (global_percentile_tree —
+    """The two-level tree-merge scale path (global_digest_tree —
     per-block partials, parallel mid-level merges, bounded driver finish)
     under the same accuracy gate as the flat aggregate: quantiles of
     lineitem.l_extendedprice within 1% of exact at compression 100, and
@@ -837,8 +837,7 @@ def q_tdigest_tree(sf_dir: str):
     from tdigest_ray.stages.partial import global_digest_tree
 
     ds = _read(sf_dir, "lineitem", columns=["l_extendedprice"])
-    blob = global_digest_tree(ds, "l_extendedprice", compression=100,
-                              fanout=8)
+    blob = global_digest_tree(ds, "l_extendedprice", compression=100)
     d = serde.from_bytes(bytes(blob))
     vals = _exact(sf_dir, "lineitem", "l_extendedprice")
     est = d.quantile(PS)

@@ -62,10 +62,3 @@ def curate(ds, text_col: str = "text", id_col: str = "doc_id",
     filtered = ds.map_batches(filt, batch_format="pyarrow")
     return exact_dedup_rows(filtered, text_col=text_col, id_col=id_col,
                             num_partitions=num_partitions)
-
-
-def curate_to_parquet(ds, output_dir: str, **kwargs) -> str:
-    """Curate and write the survivors as partitioned Parquet (one file
-    per block — the resumable, many-file layout)."""
-    curate(ds, **kwargs).write_parquet(output_dir)
-    return output_dir

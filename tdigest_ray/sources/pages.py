@@ -103,8 +103,3 @@ def pages_path(nrows: int, root: str = "/tmp/tdigest_ray_pages",
         with open(marker, "w") as f:
             f.write("ok")
     return out
-
-
-def read_pages(path: str, columns=None):
-    """Column-pruned read of a pages table."""
-    return ray.data.read_parquet(path, columns=columns)

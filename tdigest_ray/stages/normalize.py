@@ -25,17 +25,21 @@ import ray
 
 from tdigest_ray.aggregates import TDigestAgg
 from tdigest_ray.functions.serde import from_bytes
+from tdigest_ray.stages.partial import grouped_digests_fast
 
 
 def group_digests(ds, value_col: str, group_col: str | None = None,
                   compression: int = 100) -> dict:
     """{group (or None): wire-format digest bytes} via the mergeable
-    aggregate — one small driver-side dict, never the data."""
-    agg = TDigestAgg(value_col, compression=compression, alias_name="dg")
+    aggregate — one small driver-side dict, never the data. Groups merge
+    through the null-safe ``partial.grouped_digests_fast``: a null group
+    value is one group of its own under key ``None``."""
     if group_col is None:
+        agg = TDigestAgg(value_col, compression=compression, alias_name="dg")
         return {None: ds.aggregate(agg)["dg"]}
-    rows = ds.groupby(group_col).aggregate(agg).take_all()
-    return {r[group_col]: r["dg"] for r in rows}
+    rows = grouped_digests_fast(ds, group_col, [value_col],
+                                compression).take_all()
+    return {r[group_col]: r[f"{value_col}_digest"] for r in rows}
 
 
 def rank_normalize(ds, value_col: str, group_col: str | None = None,
@@ -43,7 +47,7 @@ def rank_normalize(ds, value_col: str, group_col: str | None = None,
     """Append ``out_col`` = estimated ECDF rank of ``value_col`` within
     its group's distribution (in [0, 1]; NaN for null values or rows
     whose group produced no digest). A null group value is its own
-    group, same as the groupby that built the digests."""
+    group, same as the grouped merge that built the digests."""
     digests = group_digests(ds, value_col, group_col, compression)
     blob_ref = ray.put(digests)
 

@@ -497,13 +497,15 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
       removal size; only the 16 B removal rows ever sort. At cluster
       scale pass ``removal_store_dir`` on shared storage (the
       ``sig_spill_dir`` contract of ``dedup.minhash_dedup_pairs``);
-      the default is an auto-cleaned local scratch dir.
+      the default is an auto-cleaned local scratch dir, so without one
+      a cluster of more than one node raises ``ValueError``.
     * ``"cogroup"`` — removals and documents co-partition by
       ``doc_id``; reassembly pays one text-sized exchange. The only
       path with no composite-key range limit on doc ids.
     * ``"auto"`` (default) — broadcast when the removal count fits
-      ``broadcast_limit``, else sliced, falling back to cogroup only
-      when ids exceed the 2^42 composite range.
+      ``broadcast_limit``, else sliced, falling back to cogroup when ids
+      exceed the 2^42 composite range, or when more than one node is
+      alive and no ``removal_store_dir`` is given.
 
     Duplicate document ids are refused: identical duplicated paragraphs
     are caught in the winner shuffle itself, the cogroup path checks
@@ -527,6 +529,14 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     if path not in ("auto", "broadcast", "sliced", "cogroup"):
         raise ValueError(f"unknown path {path!r}")
+    # an auto-created store is on the driver's local disk: rebuilders on
+    # other nodes would miss its removals (silent under-dedup)
+    local_store = (removal_store_dir is None and ray.is_initialized()
+                   and sum(n["Alive"] for n in ray.nodes()) > 1)
+    if path == "sliced" and local_store:
+        raise ValueError(
+            "path='sliced' on a multi-node cluster needs removal_store_dir "
+            "on storage every node can read")
 
     rem = paragraph_removals(ds, text_col, id_col, sep,
                              drop_all_if_df_ge, num_partitions)
@@ -572,6 +582,9 @@ def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
 
             return ds.map_batches(rebuild, batch_format="pyarrow")
 
+    if local_store:
+        return _dedup_paragraphs_cogroup(ds, rem, text_col, id_col, sep,
+                                         carry_cols, num_partitions)
     try:
         index = _build_removal_store(
             rem, id_col, removal_store_dir or _auto_store_dir())

@@ -146,28 +146,14 @@ def make_null_key_unmask(key_cols: Sequence[str]) -> Callable:
     return unmask_nulls
 
 
-def merge_grouped_digests(ds, key_cols, digest_cols):
-    """``tdigest(tdigest) GROUP BY keys`` over a Dataset of digest rows:
-    ``groupby(keys).aggregate(TDigestMergeAgg)`` per digest column, with
-    null string keys masked through the sort shuffle and restored after.
+def _merge_width() -> int:
+    """Blocks a distributed digest merge coalesces its partial rows into:
+    one per CPU, at most 64. The merge pays fixed costs per input block
+    (a 512-block 10M-row rollup took 10.2 s uncoalesced, 1.4 s
+    coalesced)."""
+    import ray
 
-    Output columns: ``<key...>, <digest...>`` (binary wire format); null
-    keys form one group of their own, as in
-    :func:`merge_partial_digest_table`. Ray's sort aggregate combines each
-    input block's rows per key before the shuffle, so a reducer merges at
-    most one state per (input block, key)."""
-    from tdigest_ray.aggregates import TDigestMergeAgg
-
-    key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    digest_cols = ([digest_cols] if isinstance(digest_cols, str)
-                   else list(digest_cols))
-    masked = ds.map_batches(make_null_key_mask(key_cols),
-                            batch_format="pyarrow")
-    key = key_cols[0] if len(key_cols) == 1 else key_cols
-    merged = masked.groupby(key).aggregate(
-        *[TDigestMergeAgg(c, alias_name=c) for c in digest_cols])
-    return merged.map_batches(make_null_key_unmask(key_cols),
-                              batch_format="pyarrow")
+    return min(int(ray.cluster_resources().get("CPU", 8)), 64)
 
 
 def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
@@ -176,44 +162,49 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
     Output columns: ``<key...>, <value>_digest`` (binary wire format) —
     identical schema and merge semantics to the plain
     ``groupby().aggregate(TDigestAgg)`` path, ~10x faster on large blocks.
+    Null keys form one group of their own, as in
+    :func:`merge_partial_digest_table`: null string keys are masked
+    through Ray's sort shuffle and restored after.
 
-    The partial rows are coalesced to at most ``min(CPUs, 64)`` blocks
-    before :func:`merge_grouped_digests`, so a key's reducer merges at
-    most that many states however many input blocks there were. A hot
-    key therefore needs no salting: on 500k partial rows in 32 blocks
-    with 90% on one key (4-core host), a two-level merge that first
-    merges per (key, salt) took 35.9 s against 30.0 s unsalted at 1 Ray
-    CPU, and 11.8 s against 7.3 s at 4 (medians of 6 pairs).
+    The partial rows are coalesced to :func:`_merge_width` blocks before
+    ``groupby(keys).aggregate(TDigestMergeAgg)``, and Ray's sort
+    aggregate combines each block's rows per key before the shuffle, so
+    a key's reducer merges at most that many states however many input
+    blocks there were. A hot key therefore needs no salting: on 500k
+    partial rows in 32 blocks with 90% on one key (4-core host), a
+    two-level merge that first merges per (key, salt) took 35.9 s
+    against 30.0 s unsalted at 1 Ray CPU, and 11.8 s against 7.3 s at 4
+    (medians of 6 pairs).
     """
-    import ray
+    from tdigest_ray.aggregates import TDigestMergeAgg
 
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = [value_cols] if isinstance(value_cols, str) else list(value_cols)
-    partial = ds.map_batches(
+    masked = ds.map_batches(
         make_partial_digest_fn(key_cols, value_cols, compression),
         batch_format="pyarrow",
         # one partial per (block x key), not per (1024 rows x key): the
         # default batch_size splinters each block into ~20 slices, 20x-ing
         # both the digest count and the per-call fixed costs
         batch_size=None,
-    )
-    # coalesce the tiny partial-row blocks to ~cluster width before the
-    # merge groupby — the sort shuffle pays fixed costs PER INPUT BLOCK,
-    # and at 512+ input blocks that flood dominates wall time (measured
-    # 10.2s -> 1.4s on a 512-block 10M-row rollup)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    partial = partial.repartition(min(cpus, 64))
-    return merge_grouped_digests(partial, key_cols,
-                                 [f"{c}_digest" for c in value_cols])
+    ).repartition(_merge_width()).map_batches(
+        make_null_key_mask(key_cols), batch_format="pyarrow")
+    key = key_cols[0] if len(key_cols) == 1 else key_cols
+    merged = masked.groupby(key).aggregate(
+        *[TDigestMergeAgg(f"{c}_digest", alias_name=f"{c}_digest")
+          for c in value_cols])
+    return merged.map_batches(make_null_key_unmask(key_cols),
+                              batch_format="pyarrow")
 
 
 def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
-    """Driver-side ``tdigest(tdigest) GROUP BY keys`` over one
+    """In-process ``tdigest(tdigest) GROUP BY keys`` over one
     partial-digest table or an iterable of them, folded one table at a
-    time: the per-file finisher (``flagship.grouped_digests_table``) and
-    the merge of the checkpoint parts (``checkpoint.merged_result``).
+    time: the per-file finisher (``flagship.grouped_digests_table``), the
+    merge of the checkpoint parts (``checkpoint.merged_result``) and both
+    levels of :func:`global_digest_tree`.
 
-    Same semantics as :func:`merge_grouped_digests` without its
+    Same semantics as :func:`grouped_digests_fast`'s merge without its
     repartition and sort-shuffle barriers, whose fixed costs dominate a
     merge of a few dozen rows. Each group's blobs fold through
     ``serde.merge_blobs`` into one state per (group, ``<value>_digest``
@@ -263,8 +254,7 @@ def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
     return pa.table(cols)
 
 
-def global_digest_tree(ds, value_col: str, compression: int = 100,
-                       fanout: int | None = None):
+def global_digest_tree(ds, value_col: str, compression: int = 100):
     """Two-level parallel merge for a GLOBAL digest aggregate.
 
     A flat ``ds.aggregate(TDigestAgg(...))`` pays Ray's per-state
@@ -275,46 +265,28 @@ def global_digest_tree(ds, value_col: str, compression: int = 100,
     (~10^6 input blocks) the flat combine tail is minutes-to-hours of
     serial state shuffling; this pipeline bounds it:
 
-    1. per-block partial digest, fully parallel (``map_batches`` with
-       ``batch_size=None`` — one digest per block, never per 1024 rows);
-    2. coalesce the ~#blocks 2 KB digest rows into ``fanout`` blocks
-       (``repartition`` — a split/merge, no sort shuffle) and merge each
-       block's digests in parallel;
-    3. one driver-side merge of ``fanout`` compacted digests (bounded:
-       fanout x ~2 KB).
+    1. per-block partial digest, fully parallel
+       (:func:`make_partial_digest_fn` with no keys, ``batch_size=None``
+       — one digest per block, never per 1024 rows);
+    2. coalesce the ~#blocks 2 KB digest rows into :func:`_merge_width`
+       blocks (``repartition`` — a split/merge, no sort shuffle) and fold
+       each block with :func:`merge_partial_digest_table`;
+    3. one driver-side fold of those compacted digests (bounded: 64 x
+       ~2 KB).
 
-    Returns the merged digest (wire bytes), or None for an empty input.
+    Returns the merged digest (wire bytes), or None when the input has
+    no non-null value.
     """
-    import ray
+    from tdigest_ray.stages.common import block_tables
 
-    if fanout is None:
-        fanout = max(4, int(ray.cluster_resources().get("CPU", 8)))
-    col = f"{value_col}_digest"
-    digest_fn = make_partial_digest_fn([], [value_col], compression)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        out = digest_fn(batch)
-        return out.filter(pc.is_valid(out.column(col)))  # all-null block
-
-    def merge_block(batch: pa.Table) -> pa.Table:
-        blob = _wire(serde.merge_blobs(batch.column(col).to_pylist()))
-        return pa.table({col: pa.array([blob], pa.binary())})
-
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .repartition(fanout)
-        .map_batches(merge_block, batch_format="pyarrow", batch_size=None)
-    )
-    return _wire(serde.merge_blobs(r[col] for r in merged.take_all()))
-
-
-def global_percentile_tree(ds, value_col: str, percentiles,
-                           compression: int = 100,
-                           fanout: int | None = None):
-    """``tdigest_percentile(v, comp, q|q[])`` via the two-level tree merge
-    (:func:`global_digest_tree`); the scale path for wide clusters."""
-    blob = global_digest_tree(ds, value_col, compression, fanout)
-    if blob is None:
+    cols = [value_col]
+    mid = ds.map_batches(
+        make_partial_digest_fn([], cols, compression),
+        batch_format="pyarrow", batch_size=None,
+    ).repartition(_merge_width()).map_batches(
+        lambda b: merge_partial_digest_table(b, [], cols),
+        batch_format="pyarrow", batch_size=None)
+    out = merge_partial_digest_table(block_tables(mid), [], cols)
+    if not out.num_rows:  # empty input: not even a null digest
         return None
-    d = serde.from_bytes(bytes(blob))
-    return d.quantile(percentiles)
+    return out.column(f"{value_col}_digest")[0].as_py()

@@ -52,12 +52,8 @@ class DigestStore:
 
     def merge_partials(self, partials: dict[str, bytes]) -> None:
         for key, blob in partials.items():
-            d = serde.from_bytes(blob)
-            cur = self._digests.get(key)
-            if cur is None:
-                self._digests[key] = d
-            else:
-                cur.merge_digest(d)
+            self._digests[key] = serde.merge_blobs([blob],
+                                                   self._digests.get(key))
 
     def add(self, key: str, values) -> None:
         """Direct add (small updates); prefer merge_partials for volume."""

@@ -171,8 +171,7 @@ def _write_refs_streaming(refs: list, meta: dict, tmp: str) -> None:
 
 def run_with_checkpoints(input_files: list[str], ckpt_dir: str, digest_fn,
                          on_progress=None,
-                         max_concurrent: int = 8,
-                         split_blocks: int | None = None) -> list[str]:
+                         max_concurrent: int = 8) -> list[str]:
     """Process all pending input files (skipping completed ones), returning
     the full list of part paths. Re-running after a crash resumes from the
     last completed partition.
@@ -188,21 +187,25 @@ def run_with_checkpoints(input_files: list[str], ckpt_dir: str, digest_fn,
     propagating, so a systematic error surfaces after ~max_concurrent
     files, not after the whole corpus.
 
-    ``split_blocks=None`` reads each file in as many blocks as the
-    cluster has CPUs per ``max_concurrent`` slot, at most
-    :data:`_MAX_SPLIT_BLOCKS`; see :func:`run_partition`. It follows the
-    parameter, not how many files are pending, so a resumed run splits
-    (and so digests) each file as an uninterrupted run does."""
+    Each file is read in as many blocks as the cluster has CPUs per
+    ``max_concurrent`` slot, at most :data:`_MAX_SPLIT_BLOCKS`; see
+    :func:`run_partition`. The split follows the parameter, not how many
+    files are pending, so a resumed run splits (and so digests) each file
+    as an uninterrupted run does. It pays for a CPU-bound per-file UDF
+    and costs nothing measurable elsewhere (4 Ray CPUs on a 4-CPU host,
+    ``max_concurrent=1``): ``dedup.sign_corpus`` on one 60k-doc file took
+    3.3–5.2 s at split 1 and 1.4–2.9 s at split 4, while the pages
+    checkpoint route on one 200k-page file took 1.40–1.90 s at split 1
+    and 1.51–1.79 s at split 4."""
     import concurrent.futures as cf
 
     pending = pending_files(ckpt_dir, input_files)
     if pending:
-        if split_blocks is None:
-            if not ray.is_initialized():
-                ray.init()  # as the first file's read would
-            cpus = int(ray.cluster_resources().get("CPU", 1))
-            split_blocks = max(1, min(_MAX_SPLIT_BLOCKS,
-                                      cpus // max(1, max_concurrent)))
+        if not ray.is_initialized():
+            ray.init()  # as the first file's read would
+        cpus = int(ray.cluster_resources().get("CPU", 1))
+        split_blocks = max(1, min(_MAX_SPLIT_BLOCKS,
+                                  cpus // max(1, max_concurrent)))
         workers = max(1, min(max_concurrent, len(pending)))
         with cf.ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {pool.submit(run_partition, f, ckpt_dir, digest_fn,

@@ -84,6 +84,26 @@ class TestStreaming:
         assert abs(q - 249.5) < 10
         assert ray.get(store.keys.remote()) == ["a", "b"]
 
+    def test_merge_partials_is_merge_blobs(self):
+        """``merge_partials`` over a sequence of partial dicts leaves, per
+        key, the state of one ``serde.merge_blobs`` over that key's
+        blobs in order: the snapshot holds its compacted bytes."""
+        rng = np.random.default_rng(21)
+        store = streaming.get_digest_store("t_store_merge_blobs")
+        seq = []
+        for _ in range(5):
+            tbl = pa.table({
+                "k": pa.array(rng.choice(["a", "b", "c"], 300).tolist()),
+                "v": pa.array(rng.lognormal(size=300))})
+            seq.append(streaming._fold_batch(tbl, "k", "v", 100))
+            ray.get(store.merge_partials.remote(seq[-1]))
+        snap = ray.get(store.snapshot.remote())
+        assert set(snap) == {"a", "b", "c"}
+        for k, blob in snap.items():
+            d = serde.merge_blobs([p[k] for p in seq if k in p])
+            d.compress()
+            assert blob == serde.to_bytes(d), k
+
     def test_snapshot_restore(self):
         store = streaming.get_digest_store("t_store_2")
         ray.get(store.add.remote("x", np.arange(100, dtype=np.float64)))

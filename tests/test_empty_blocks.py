@@ -14,7 +14,8 @@ import pytest
 import ray
 
 from tdigest_ray.stages import dedup, multimodal, textstats
-from tdigest_ray.stages.partial import global_percentile_tree, grouped_digests_fast
+from tdigest_ray.functions import serde
+from tdigest_ray.stages.partial import global_digest_tree, grouped_digests_fast
 from tdigest_ray.stages.similarity import knn_brute_force, knn_ivf
 from tdigest_ray.stages.windows import windowed_digests
 
@@ -113,8 +114,10 @@ class TestEmptyBlocksText:
         a = grouped_digests_fast(ray.data.from_arrow(sparse), "lang", ["v"])
         b = grouped_digests_fast(ray.data.from_arrow(dense), "lang", ["v"])
         assert sorted(a.to_pandas()["lang"]) == sorted(b.to_pandas()["lang"])
-        qa = global_percentile_tree(ray.data.from_arrow(sparse), "v", [0.5])
-        qb = global_percentile_tree(ray.data.from_arrow(dense), "v", [0.5])
+        qa = serde.from_bytes(global_digest_tree(
+            ray.data.from_arrow(sparse), "v")).quantile([0.5])
+        qb = serde.from_bytes(global_digest_tree(
+            ray.data.from_arrow(dense), "v")).quantile([0.5])
         assert qa == pytest.approx(qb)
 
 

@@ -110,3 +110,26 @@ class TestRankNormalize:
                 mid = (np.searchsorted(sv, v, "left")
                        + np.searchsorted(sv, v, "right")) / (2 * len(v))
                 assert np.abs(r - mid).max() <= 0.02, g
+
+    def test_null_group_keys_across_blocks(self):
+        """Null string groups over a Dataset of several blocks: the null
+        rows rank within their own group. Ray's multi-block sort shuffle
+        samples its keys with numpy and cannot compare None with str, so
+        the grouped digests must come from the null-safe merge."""
+        rng = np.random.default_rng(5)
+        n = 400
+        g = [("a", "b", None)[i % 3] for i in range(n)]
+        v = rng.normal(0, 1, n) + 10.0 * np.array([k is None for k in g])
+        t = pa.table({"g": pa.array(g, pa.string()), "v": pa.array(v)})
+        out = rank_normalize(ray.data.from_arrow(t).repartition(4), "v",
+                             "g").to_pandas()
+        assert len(out) == n and not out["rank"].isna().any()
+        nulls = out[out["g"].isna()]
+        assert len(nulls) == len(range(2, n, 3))
+        # ranked against the null group alone, not the whole column
+        # (where every null row would rank above 2/3)
+        nv = nulls["v"].to_numpy(np.float64)
+        sv = np.sort(nv)
+        mid = (np.searchsorted(sv, nv, "left")
+               + np.searchsorted(sv, nv, "right")) / (2 * len(nv))
+        assert np.abs(nulls["rank"].to_numpy(np.float64) - mid).max() <= 0.02

@@ -129,6 +129,30 @@ def test_all_reassembly_paths_agree():
     assert run_clean(ds, broadcast_limit=0) == want
 
 
+def test_multi_node_needs_shared_store(monkeypatch):
+    """With more than one node alive and no ``removal_store_dir``, a
+    driver-local removal store would be invisible to other nodes'
+    rebuilders: ``auto`` takes the co-group path instead, and
+    ``sliced`` refuses."""
+    from tdigest_ray.stages import paradedup
+
+    docs = make_docs(7, 50)
+    ds = to_ds(docs)
+    want = run_clean(ds, path="cogroup")
+    nodes = ray.nodes()
+    monkeypatch.setattr(ray, "nodes", lambda: nodes + [
+        dict(nodes[0], NodeID="f" * 56)])
+
+    def no_store(*a, **k):
+        raise AssertionError("local removal store on a multi-node cluster")
+
+    monkeypatch.setattr(paradedup, "_build_removal_store", no_store)
+    assert run_clean(ds, broadcast_limit=0) == want
+    with pytest.raises(ValueError, match="removal_store_dir"):
+        dedup_paragraphs(ds, path="sliced")
+    assert run_clean(ds) == want  # broadcast needs no store
+
+
 @pytest.mark.parametrize("drop_df", [2, 3])
 def test_drop_frequent_mode(drop_df):
     docs = make_docs(11, 40, vocab=4)

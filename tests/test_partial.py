@@ -81,19 +81,16 @@ class TestGlobalDigestTree:
         import ray
 
         from tdigest_ray.functions import serde
-        from tdigest_ray.stages.partial import (
-            global_digest_tree,
-            global_percentile_tree,
-        )
+        from tdigest_ray.stages.partial import global_digest_tree
 
         rng = np.random.default_rng(8)
         vals = rng.random(200_000) * 500.0
         tbl = pa.table({"v": pa.array(vals)})
         ds = ray.data.from_arrow(tbl).repartition(24)
-        blob = global_digest_tree(ds, "v", compression=100, fanout=4)
+        blob = global_digest_tree(ds, "v", compression=100)
         d = serde.from_bytes(bytes(blob))
         assert d.count == len(vals)
-        qs = global_percentile_tree(ds, "v", [0.05, 0.5, 0.95], 100, fanout=4)
+        qs = d.quantile([0.05, 0.5, 0.95])
         exact = np.quantile(vals, [0.05, 0.5, 0.95])
         assert np.all(np.abs(np.asarray(qs) - exact) <= 0.01 * 500.0)
 

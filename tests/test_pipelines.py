@@ -48,7 +48,8 @@ class TestPagesSource:
         # stored text column per url
         from tdigest_ray.stages.features import extract_text
 
-        ds = pages.read_pages(pages_dir, columns=["url", "html", "text"])
+        ds = ray.data.read_parquet(pages_dir,
+                                   columns=["url", "html", "text"])
         checked = ds.map_batches(
             lambda b: extract_text(b).select(["url", "text",
                                               "extracted_text"]),
@@ -361,11 +362,11 @@ class TestCuration:
         import pyarrow.parquet as pq
         import ray
 
-        from tdigest_ray.pipelines.curation import curate_to_parquet
+        from tdigest_ray.pipelines.curation import curate
 
         ds = ray.data.from_arrow(self._docs())
         outdir = str(tmp_path / "curated")
-        curate_to_parquet(ds, outdir)
+        curate(ds).write_parquet(outdir)
         back = pq.read_table(outdir).to_pandas().sort_values("doc_id")
         assert back["doc_id"].tolist() == [3, 7]
 
