@@ -316,7 +316,11 @@ class TDigestWeightedTrimmedAvg(_TDigestAggregate):
 # --------------------------------------------------------------------- #
 
 class TDigestMergeAgg(_TDigestAggregate):
-    """``tdigest(tdigest)`` (row 11) — merge stored digests into one."""
+    """``tdigest(tdigest)`` (row 11) — merge stored digests into one.
+
+    Public API for ``Dataset.aggregate`` / ``groupby().aggregate`` over a
+    stored digest column. The library's own rollups do not use it: they
+    fold through ``stages.partial.merge_partial_digest_table``."""
 
     def __init__(self, on: str, alias_name: Optional[str] = None):
         super().__init__(alias_name or f"tdigest({on})", on)

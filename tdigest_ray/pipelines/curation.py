@@ -6,7 +6,7 @@ This is the "switch your pipeline to this repo" composition a
 large-scale LLM-data user actually runs (cf. the public C4/Gopher/
 RefinedWeb recipes): cheap local filters first (they shrink the corpus
 before anything shuffles), then the one unavoidable text shuffle for
-exact dedup, then sketch summaries whose shuffle moves only digests.
+exact dedup, then sketch summaries whose merge moves only digests.
 Every stage is a Dataset transform — the streaming executor pipelines
 them with backpressure, and nothing corpus-sized lands on the driver.
 
@@ -18,7 +18,7 @@ Scale notes per stage:
    the in-block dup rate first).
 3. Optional MinHash near-dup LABELS (id-only band shuffle + co-group
    verification); callers join/filter on the label table downstream.
-4. Summaries via the partial-digest shuffle (digest-sized traffic).
+4. Summaries via the partial-digest fold tree (digest-sized traffic).
 """
 
 from __future__ import annotations

@@ -7,16 +7,16 @@ Ray translation of the reference's pre-aggregation rollup
 1. column-pruned ``read_parquet`` (html/text/lang only — never carry page
    payloads past feature extraction),
 2. ``map_batches`` feature extraction (zero-copy Arrow kernels),
-3. grouped sketch aggregation — Ray's aggregate does map-side partial
-   digests per block, so the ONLY shuffle moves compact digest states,
+3. grouped sketch aggregation (``stages.partial.grouped_digests_fast``):
+   one partial digest per (block, lang), coalesced to ``min(CPUs, 64)``
+   blocks, folded per block, then folded once in the driver — only
+   compact digest states move, and nothing sorts by key,
 4. finalize projections (quantiles / ranks / trimmed moments per group).
 
-Skew note: web language keys are Zipfian (en >> rest). The shuffle payload
-is already one digest per (block x lang) regardless of row skew, and the
-partial rows are coalesced to at most ``min(CPUs, 64)`` blocks before the
-merge, so the hot key's reducer merges at most that many states. Salting
-the hot key into sub-digests measured slower, not faster (see
-``stages.partial.grouped_digests_fast``), so the merge does no salting.
+Skew note: web language keys are Zipfian (en >> rest). The partial rows
+are already one digest per (block x lang) regardless of row skew, and the
+driver fold sees at most ``min(CPUs, 64)`` rows per lang, so the hot key
+needs no salting.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ def grouped_digests(ds, group_col: str = "lang",
                     features=DEFAULT_FEATURES, compression: int = 100):
     """One digest column per feature, grouped — `tdigest(v, c) GROUP BY lang`.
 
-    Uses the vectorized per-block partial stage (stages/partial.py): the
-    groupby only ever sees #blocks x #keys partial digest rows, so CPU/row
-    stays flat as blocks grow (Ray's built-in grouped aggregate walks block
-    rows in Python to find group boundaries)."""
+    Uses the vectorized per-block partial stage and its fold tree
+    (``stages.partial.grouped_digests_fast``): the merges only ever see
+    #blocks x #keys partial digest rows, so CPU/row stays flat as blocks
+    grow (Ray's built-in grouped aggregate walks block rows in Python to
+    find group boundaries)."""
     from tdigest_ray.stages.partial import grouped_digests_fast
 
     schema = ds.schema()
@@ -107,15 +108,16 @@ def grouped_digests_table(ds, group_col: str = "lang",
 
     A per-file pipeline's wall time is dominated by fixed costs, not by
     work (#blocks x #groups partial rows for one file is a few dozen
-    rows): the coalesce + groupby barriers are skipped for the driver
-    merge, and an input that yields rows executes once — ``ds`` is not
-    probed for its schema (a ``map_batches`` output's schema is unknown
-    until it runs, so a probe is a hidden ``limit(1)`` re-run); the
-    requested features are checked against the partial blocks that come
-    back. An input that yields no rows, or none of the features, runs a
-    second time: ``ds.schema()`` types the empty result or names the
-    columns in the error. Use :func:`grouped_digests` for corpus-sized
-    datasets, where the distributed merge is the right shape."""
+    rows): :func:`grouped_digests`' coalesce and per-block fold level
+    are skipped for the driver fold, and an input that yields rows
+    executes once — ``ds`` is not probed for its schema (a
+    ``map_batches`` output's schema is unknown until it runs, so a probe
+    is a hidden ``limit(1)`` re-run); the requested features are checked
+    against the partial blocks that come back. An input that yields no
+    rows, or none of the features, runs a second time: ``ds.schema()``
+    types the empty result or names the columns in the error. Use
+    :func:`grouped_digests` for corpus-sized datasets, where the
+    per-block fold level is the right shape."""
     from tdigest_ray.stages.partial import (make_partial_digest_fn,
                                             merge_partial_digest_table)
 
@@ -180,7 +182,11 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
     the input another way (many small files, or few huge files on a wide
     cluster, a case whose best split is unmeasured), pass a Dataset built
     with ``read_parquet(..., override_num_blocks=k)`` or ``repartition``;
-    the partial-digest stage makes one digest per (block, language)."""
+    the partial-digest stage makes one digest per (block, language).
+
+    The read, feature and digest stages run inside this call (the
+    rollup's driver fold needs their output); the returned Dataset is the
+    digest table plus the lazy finalize map."""
     from tdigest_ray.stages.partial import grouped_digests_fast
 
     if isinstance(pages, str):

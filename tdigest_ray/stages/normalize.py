@@ -23,20 +23,20 @@ import pyarrow.compute as pc
 
 import ray
 
-from tdigest_ray.aggregates import TDigestAgg
 from tdigest_ray.functions.serde import from_bytes
-from tdigest_ray.stages.partial import grouped_digests_fast
+from tdigest_ray.stages.partial import global_digest_tree, grouped_digests_fast
 
 
 def group_digests(ds, value_col: str, group_col: str | None = None,
                   compression: int = 100) -> dict:
-    """{group (or None): wire-format digest bytes} via the mergeable
-    aggregate — one small driver-side dict, never the data. Groups merge
-    through the null-safe ``partial.grouped_digests_fast``: a null group
-    value is one group of its own under key ``None``."""
+    """{group (or None): wire-format digest bytes, or None for a group
+    with no non-null value} — one small driver-side dict, never the
+    data. Built by the library's one rollup,
+    ``partial.grouped_digests_fast`` (``global_digest_tree`` with no
+    group): a null group value is one group of its own under key
+    ``None``."""
     if group_col is None:
-        agg = TDigestAgg(value_col, compression=compression, alias_name="dg")
-        return {None: ds.aggregate(agg)["dg"]}
+        return {None: global_digest_tree(ds, value_col, compression)}
     rows = grouped_digests_fast(ds, group_col, [value_col],
                                 compression).take_all()
     return {r[group_col]: r[f"{value_col}_digest"] for r in rows}
@@ -60,11 +60,11 @@ def rank_normalize(ds, value_col: str, group_col: str | None = None,
         vals = batch.column(value_col).to_numpy(zero_copy_only=False)
         out = np.full(batch.num_rows, np.nan, np.float64)
         if group_col is None:
-            d = from_bytes(blobs[None])
             ok = ~pc.is_null(batch.column(value_col)).to_numpy(
                 zero_copy_only=False)
-            if ok.any():
-                out[ok] = d.cdf(vals[ok].astype(np.float64))
+            if blobs[None] is not None and ok.any():
+                out[ok] = from_bytes(blobs[None]).cdf(
+                    vals[ok].astype(np.float64))
         else:
             # dictionary-encode the group column: Python work is per
             # DISTINCT group in the batch, never per row. Null group

@@ -1,16 +1,19 @@
-"""Vectorized per-block partial sketch stage (the 'stage A' of SURVEY §3.2).
+"""Vectorized per-block partial sketch stage (the 'stage A' of SURVEY §3.2)
+and the one grouped t-digest rollup built on it.
 
 Ray's built-in grouped aggregate walks rows in Python to find group
 boundaries inside each block (``TableBlockAccessor._aggregate.iter_groups``),
-which costs ~25us/row. This stage does the same map-side partial aggregation
-vectorized: sort the block by key (Arrow kernel), find group boundaries with
-array comparisons, fold each group's values into one sketch — then the
-downstream ``groupby(key).aggregate(<merge agg>)`` only ever touches
-``#blocks x #keys`` partial rows, so the slow per-row path runs on a
-few hundred rows instead of millions.
+which costs ~25us/row. :func:`make_partial_digest_fn` does the map-side
+partial aggregation vectorized: sort the block by key (Arrow kernel), find
+group boundaries with array comparisons, fold each group's values into one
+sketch, so a block collapses to ``#keys`` partial rows.
+:func:`merge_partial_digest_table` folds partial rows in process, one
+merge state per group (the reference's one merge routine,
+``tdigest_add_digest``).
 
-Use :func:`grouped_digests_fast` as a drop-in replacement for
-``ds.groupby(key).aggregate(TDigestAgg(...))``.
+:func:`grouped_digests_fast` composes the two into a fold tree: partials,
+coalesce to :func:`_merge_width` blocks, a fold per block, one driver
+fold. Nothing sorts or shuffles by key, so a null key is an ordinary group.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
+
 from tdigest_ray.functions import serde
 from tdigest_ray.sketches.tdigest import TDigest
+from tdigest_ray.stages import common
 
 
 def _group_slices(tbl: pa.Table, key_cols: Sequence[str]):
@@ -98,103 +104,56 @@ def make_partial_digest_fn(key_cols: Sequence[str],
     return fn
 
 
-# Ray's multi-block sort shuffle SAMPLES key boundaries with a numpy
-# sort, which dies comparing None to str — these batch fns mask null
-# string keys with a sentinel through a groupby and restore them after
-NULL_KEY_SENTINEL = "\x00\x00__null__"
-
-
-def make_null_key_mask(key_cols: Sequence[str]) -> Callable:
-    key_cols = list(key_cols)
-
-    def mask_nulls(batch: pa.Table) -> pa.Table:
-        for k in key_cols:
-            col = batch.column(k)
-            if pa.types.is_string(col.type):
-                # a legitimate key equal to the sentinel would silently
-                # merge with the real null-key group after unmasking —
-                # refuse instead (ADVICE r3; one cheap kernel scan)
-                if pc.any(pc.equal(col, NULL_KEY_SENTINEL)).as_py():
-                    raise ValueError(
-                        f"key column {k!r} contains the reserved null-key "
-                        f"sentinel {NULL_KEY_SENTINEL!r}; masked grouping "
-                        "would corrupt the null group")
-                if col.null_count:
-                    batch = batch.set_column(
-                        batch.column_names.index(k), k,
-                        pc.fill_null(col, NULL_KEY_SENTINEL))
-        return batch
-
-    return mask_nulls
-
-
-def make_null_key_unmask(key_cols: Sequence[str]) -> Callable:
-    key_cols = list(key_cols)
-
-    def unmask_nulls(batch: pa.Table) -> pa.Table:
-        for k in key_cols:
-            col = batch.column(k)
-            if pa.types.is_string(col.type):
-                masked = pc.equal(col, NULL_KEY_SENTINEL)
-                if pc.any(masked).as_py():
-                    batch = batch.set_column(
-                        batch.column_names.index(k), k,
-                        pc.if_else(masked, pa.nulls(len(col), col.type),
-                                   col))
-        return batch
-
-    return unmask_nulls
-
-
 def _merge_width() -> int:
     """Blocks a distributed digest merge coalesces its partial rows into:
     one per CPU, at most 64. The merge pays fixed costs per input block
     (a 512-block 10M-row rollup took 10.2 s uncoalesced, 1.4 s
     coalesced)."""
-    import ray
-
     return min(int(ray.cluster_resources().get("CPU", 8)), 64)
 
 
 def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
-    """``tdigest(v, comp) GROUP BY keys`` with vectorized map-side partials.
+    """``tdigest(v, comp) GROUP BY keys`` as a two-level fold tree: the
+    one grouped digest rollup (flagship, ``windows.windowed_digests``,
+    ``normalize.group_digests``, and :func:`global_digest_tree` with no
+    keys).
 
-    Output columns: ``<key...>, <value>_digest`` (binary wire format) —
-    identical schema and merge semantics to the plain
-    ``groupby().aggregate(TDigestAgg)`` path, ~10x faster on large blocks.
-    Null keys form one group of their own, as in
-    :func:`merge_partial_digest_table`: null string keys are masked
-    through Ray's sort shuffle and restored after.
+    1. :func:`make_partial_digest_fn` per block (``batch_size=None``:
+       one partial per (block, key), never per 1024 rows);
+    2. coalesce the partial rows into :func:`_merge_width` blocks
+       (``repartition``: a split/merge, no sort and no shuffle of keys);
+    3. :func:`merge_partial_digest_table` per coalesced block;
+    4. one :func:`merge_partial_digest_table` of those blocks in the
+       driver.
 
-    The partial rows are coalesced to :func:`_merge_width` blocks before
-    ``groupby(keys).aggregate(TDigestMergeAgg)``, and Ray's sort
-    aggregate combines each block's rows per key before the shuffle, so
-    a key's reducer merges at most that many states however many input
-    blocks there were. A hot key therefore needs no salting: on 500k
-    partial rows in 32 blocks with 90% on one key (4-core host), a
-    two-level merge that first merges per (key, salt) took 35.9 s
-    against 30.0 s unsalted at 1 Ray CPU, and 11.8 s against 7.3 s at 4
-    (medians of 6 pairs).
+    Executes ``ds`` and returns a one-block Dataset of ``<key...>,
+    <value>_digest`` (binary wire format), groups in key order; on an
+    input with no rows, ``ds.schema()`` types the empty keys. A null
+    key is one group of its own and comes out as null, as on every route
+    through the fold. The driver fetches and folds one coalesced block at
+    a time and sees at most :func:`_merge_width` rows per key, so a hot
+    key needs no salting; at high cardinality the driver fold is the
+    serial step (about width x keys rows).
     """
-    from tdigest_ray.aggregates import TDigestMergeAgg
-
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = [value_cols] if isinstance(value_cols, str) else list(value_cols)
-    masked = ds.map_batches(
+    mid = ds.map_batches(
         make_partial_digest_fn(key_cols, value_cols, compression),
-        batch_format="pyarrow",
-        # one partial per (block x key), not per (1024 rows x key): the
-        # default batch_size splinters each block into ~20 slices, 20x-ing
-        # both the digest count and the per-call fixed costs
-        batch_size=None,
+        batch_format="pyarrow", batch_size=None,
     ).repartition(_merge_width()).map_batches(
-        make_null_key_mask(key_cols), batch_format="pyarrow")
-    key = key_cols[0] if len(key_cols) == 1 else key_cols
-    merged = masked.groupby(key).aggregate(
-        *[TDigestMergeAgg(f"{c}_digest", alias_name=f"{c}_digest")
-          for c in value_cols])
-    return merged.map_batches(make_null_key_unmask(key_cols),
-                              batch_format="pyarrow")
+        lambda b: merge_partial_digest_table(b, key_cols, value_cols),
+        batch_format="pyarrow", batch_size=None)
+    out = merge_partial_digest_table(
+        (t for t in map(ray.get, common.block_refs(mid)) if t.num_rows),
+        key_cols, value_cols)
+    if not out.num_rows and key_cols:  # no partial table typed the keys
+        schema = ds.schema()
+        if schema is not None:
+            types = dict(zip(schema.names, schema.types))
+            out = pa.table({**{k: pa.array([], types[k]) for k in key_cols},
+                            **{c: out.column(c) for c in out.column_names
+                               if c not in key_cols}})
+    return ray.data.from_arrow(out)
 
 
 def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
@@ -202,13 +161,10 @@ def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
     partial-digest table or an iterable of them, folded one table at a
     time: the per-file finisher (``flagship.grouped_digests_table``), the
     merge of the checkpoint parts (``checkpoint.merged_result``) and both
-    levels of :func:`global_digest_tree`.
-
-    Same semantics as :func:`grouped_digests_fast`'s merge without its
-    repartition and sort-shuffle barriers, whose fixed costs dominate a
-    merge of a few dozen rows. Each group's blobs fold through
-    ``serde.merge_blobs`` into one state per (group, ``<value>_digest``
-    column), so memory is one table plus those states. The result is
+    merge levels of :func:`grouped_digests_fast`. Each group's blobs fold
+    through ``serde.merge_blobs`` into one state per (group,
+    ``<value>_digest`` column), so memory is one table plus those states
+    (pass a generator to hold one input table at a time). The result is
     byte-identical to a merge of ``pa.concat_tables(tables,
     promote_options="permissive")``: blobs merge in input order and the
     first one seeds the state (its compression wins). Groups come out in
@@ -255,38 +211,8 @@ def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
 
 
 def global_digest_tree(ds, value_col: str, compression: int = 100):
-    """Two-level parallel merge for a GLOBAL digest aggregate.
-
-    A flat ``ds.aggregate(TDigestAgg(...))`` pays Ray's per-state
-    machinery (pickle + object-store round trip + dispatch, ~4 ms/state)
-    once per block, while the digest math itself is trivial (512
-    compacted partials merge in ~44 ms). At bench-scale block counts
-    (<=10^3) the flat path wins — fewer barriers — but at 100 TB
-    (~10^6 input blocks) the flat combine tail is minutes-to-hours of
-    serial state shuffling; this pipeline bounds it:
-
-    1. per-block partial digest, fully parallel
-       (:func:`make_partial_digest_fn` with no keys, ``batch_size=None``
-       — one digest per block, never per 1024 rows);
-    2. coalesce the ~#blocks 2 KB digest rows into :func:`_merge_width`
-       blocks (``repartition`` — a split/merge, no sort shuffle) and fold
-       each block with :func:`merge_partial_digest_table`;
-    3. one driver-side fold of those compacted digests (bounded: 64 x
-       ~2 KB).
-
-    Returns the merged digest (wire bytes), or None when the input has
-    no non-null value.
-    """
-    from tdigest_ray.stages.common import block_tables
-
-    cols = [value_col]
-    mid = ds.map_batches(
-        make_partial_digest_fn([], cols, compression),
-        batch_format="pyarrow", batch_size=None,
-    ).repartition(_merge_width()).map_batches(
-        lambda b: merge_partial_digest_table(b, [], cols),
-        batch_format="pyarrow", batch_size=None)
-    out = merge_partial_digest_table(block_tables(mid), [], cols)
-    if not out.num_rows:  # empty input: not even a null digest
-        return None
-    return out.column(f"{value_col}_digest")[0].as_py()
+    """``tdigest(v, comp)`` over the whole Dataset:
+    :func:`grouped_digests_fast` with no keys. Returns the merged digest (wire bytes), or None when
+    the input has no non-null value."""
+    rows = grouped_digests_fast(ds, [], [value_col], compression).take_all()
+    return rows[0][f"{value_col}_digest"] if rows else None

@@ -5,10 +5,12 @@ Windows are epoch-aligned (``floor(epoch/slide)*slide``), so window
 identities are a pure function of the timestamp — no global state, no
 watermark machinery: each batch emits its rows' (window_start, value)
 assignments (a sliding window of width W and slide S emits W/S rows per
-input row), and the normal grouped-digest shuffle does the rest. At scale
-the fan-out factor W/S multiplies shuffle input rows, but the map-side
-partial digests still collapse each block to #windows-per-block digest
-rows before anything moves.
+input row), and the one grouped digest rollup
+(``partial.grouped_digests_fast``: partials, coalesce, a fold per block,
+a driver fold) does the rest. At scale the fan-out factor W/S multiplies
+the rows entering the partial stage, but the map-side partial digests
+still collapse each block to #windows-per-block digest rows before
+anything moves.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def windowed_digests(ds, ts_col: str, value_col: str, width_s: int,
                      slide_s: int | None = None, compression: int = 100,
                      unit: str = "s"):
     """Digest of ``value_col`` per (sliding or tumbling) window —
-    window assignment composed with the fast partial-digest shuffle.
+    window assignment composed with the grouped digest fold tree.
     ``unit`` applies to integer timestamp columns only."""
     from tdigest_ray.stages.partial import grouped_digests_fast
 

@@ -50,6 +50,13 @@ class TestRankNormalize:
         assert np.isnan(out["rank"].iloc[2])
         assert not np.isnan(out["rank"].iloc[0])
 
+    def test_global_without_digest_gets_nan(self):
+        """With no group and no non-NaN value there is no digest: every
+        row ranks NaN."""
+        t = pa.table({"v": pa.array([np.nan, None, np.nan], pa.float64())})
+        out = rank_normalize(ray.data.from_arrow(t), "v").to_pandas()
+        assert len(out) == 3 and out["rank"].isna().all()
+
     def test_unknown_group_gets_nan(self):
         """Rows of a group absent from the digest dict rank as NaN (the
         explicit contract for a stale broadcast)."""

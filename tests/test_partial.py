@@ -1,13 +1,18 @@
 """Vectorized per-block partial sketch stage vs the built-in grouped path."""
 
+from collections import Counter
+
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray
 
 from tdigest_ray.aggregates import TDigestAgg
 from tdigest_ray.functions import serde
 from tdigest_ray.stages.partial import grouped_digests_fast
 from tdigest_ray.sources.synthetic import lcg
+
+SENTINEL = "\x00\x00__null__"
 
 
 def make_ds(n=50_000):
@@ -57,20 +62,71 @@ class TestPartialDigests:
         out = grouped_digests_fast(ds, "k", "v").to_pandas().set_index("k")
         assert serde.digest_count(bytes(out.loc["a", "v_digest"])) == 1
 
-    def test_null_group_keys(self):
-        tbl = pa.table(
-            {"k": pa.array(["a", None, "a", None, "b"]),
-             "v": pa.array([1.0, 2.0, 3.0, 4.0, 5.0])})
+    @pytest.mark.parametrize("cols", [
+        {"k": pa.array(["a", None, None, None, "a", "b", None, "b"])},
+        # the string the old null-key mask filled nulls with: an ordinary
+        # group, apart from the null group
+        {"k": pa.array(["a", SENTINEL, None, SENTINEL, None, "a",
+                        SENTINEL, None])},
+        {"k": pa.array(["a", "a", "b", "b", "a", "b", "a", "b"]),
+         "k2": pa.array(["x", None, "x", None, None, "y", "x", None])},
+        {"k": pa.array([1, None, 2, None, 1, 3, None, 2], pa.int64())},
+    ], ids=["string", "sentinel_string", "second_key", "int64"])
+    def test_null_group_keys(self, cols):
+        """Null keys, spread over 4 blocks, form one group per null key
+        combination, kept as null, with exact counts."""
+        keys = list(cols)
+        tbl = pa.table({**cols, "v": pa.array(np.arange(8.0))})
+        ds = ray.data.from_arrow([tbl.slice(i, 2) for i in range(0, 8, 2)])
+        out = grouped_digests_fast(ds, keys, "v").take_all()
+        counts = {tuple(r[k] for k in keys): serde.digest_count(r["v_digest"])
+                  for r in out}
+        assert len(counts) == len(out)
+        assert counts == Counter(
+            zip(*(tbl.column(k).to_pylist() for k in keys)))
+
+    def test_empty_input_keeps_key_types(self):
+        """An input with no rows gives no groups, with the input's key
+        types, as the per-file finisher types its empty result."""
+        from tdigest_ray.pipelines import flagship
+
+        tbl = pa.table({"lang": pa.array([], pa.string()),
+                        "k2": pa.array([], pa.int64()),
+                        "text_len": pa.array([], pa.float64())})
         ds = ray.data.from_arrow(tbl)
-        out = grouped_digests_fast(ds, "k", "v").to_pandas()
-        counts = {
-            row["k"]: serde.digest_count(bytes(row["v_digest"]))
-            for _, row in out.iterrows()
-        }
-        assert counts.get("a") == 2 and counts.get("b") == 1
-        # the two null-key rows end up in one group of 2
-        null_counts = [v for k, v in counts.items() if k is None]
-        assert null_counts == [2]
+        out = grouped_digests_fast(ds, ["lang", "k2"], "text_len")
+        assert out.count() == 0
+        assert out.schema().types == [pa.string(), pa.int64(), pa.binary()]
+        fast = flagship.grouped_digests(ds, features=["text_len"])
+        table = flagship.grouped_digests_table(ds, features=["text_len"])
+        assert fast.schema().base_schema == table.schema
+
+    def test_no_sort_or_aggregate_in_the_executed_plan(self, monkeypatch):
+        """The rollup executes partials, a repartition and a fold per
+        block, then folds in the driver: no Aggregate or Sort operator
+        (Ray's sort shuffle samples keys with numpy, which cannot compare
+        a null key with a string)."""
+        from tdigest_ray.stages import common
+
+        executed, block_refs = [], common.block_refs
+
+        def recording_block_refs(ds):
+            executed.append(ds)
+            return block_refs(ds)
+
+        monkeypatch.setattr(common, "block_refs", recording_block_refs)
+        ds, tbl = make_ds()
+        out = grouped_digests_fast(ds, "k", "v").take_all()
+        assert sum(serde.digest_count(r["v_digest"]) for r in out) \
+            == tbl.num_rows
+        assert len(executed) == 1
+        ops, stack = [], [executed[0]._logical_plan.dag]
+        while stack:
+            op = stack.pop()
+            ops.append(op.name.split("(")[0])
+            stack.extend(op.input_dependencies)
+        assert "Repartition" in ops
+        assert not {"Aggregate", "Sort"} & set(ops), ops
 
 
 class TestGlobalDigestTree:

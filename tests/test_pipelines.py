@@ -593,10 +593,10 @@ def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
     file), not in Ray's size-driven split; a Dataset read with
     ``override_num_blocks=k`` is used in its ``k`` blocks. Either way the
     partial-digest UDF runs once per block and no repartition runs ahead
-    of it."""
+    of it in the Dataset the rollup executes."""
     import ray
 
-    from tdigest_ray.stages import partial
+    from tdigest_ray.stages import common, partial
 
     assert len(_page_files(pages_dir)) == 4
     log = str(tmp_path / "calls")
@@ -606,12 +606,20 @@ def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
         return _counting(log, real(*args, **kwargs))
 
     monkeypatch.setattr(partial, "make_partial_digest_fn", counted_partial)
+    executed, block_refs = [], common.block_refs
+
+    def recording_block_refs(ds):
+        executed.append(ds)
+        return block_refs(ds)
+
+    monkeypatch.setattr(common, "block_refs", recording_block_refs)
     source = (pages_dir if read_blocks is None else ray.data.read_parquet(
         pages_dir, columns=["html", "lang"], override_num_blocks=read_blocks))
     out = flagship.flagship(source)
     assert out.count() > 0
     assert _calls(log) == (read_blocks or 4)
-    names = _plan_names(out)
+    assert len(executed) == 1
+    names = _plan_names(executed[0])
     upstream = names[names.index("MapBatches(counted)"):]
     assert upstream[-1] == "ReadParquet" and "Repartition" not in upstream
 
