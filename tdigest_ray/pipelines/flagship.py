@@ -5,12 +5,14 @@ Ray translation of the reference's pre-aggregation rollup
 (README.md:104-155, SURVEY.md §3.2):
 
 1. column-pruned ``read_parquet`` (html/text/lang only — never carry page
-   payloads past feature extraction),
+   payloads past feature extraction), one read task per CPU and at most
+   one per file,
 2. ``map_batches`` feature extraction (zero-copy Arrow kernels),
 3. grouped sketch aggregation (``stages.partial.grouped_digests_fast``):
-   one partial digest per (block, lang), coalesced to ``min(CPUs, 64)``
-   blocks, folded per block, then folded once in the driver — only
-   compact digest states move, and nothing sorts by key,
+   one partial digest per (block, lang), folded once in the driver; only
+   when there are more than ``min(CPUs, 64)`` partial blocks are they
+   first coalesced to that many and folded per block — only compact
+   digest states move, and nothing sorts by key,
 4. finalize projections (quantiles / ranks / trimmed moments per group).
 
 Skew note: web language keys are Zipfian (en >> rest). The partial rows
@@ -28,7 +30,7 @@ import pyarrow.dataset as pads
 import ray
 
 from tdigest_ray.functions import serde
-from tdigest_ray.stages.common import block_tables
+from tdigest_ray.stages import common
 from tdigest_ray.stages.features import (add_features, extract_text,
                                          feature_names)
 
@@ -126,8 +128,8 @@ def grouped_digests_table(ds, group_col: str = "lang",
         return make_partial_digest_fn([group_col], present,
                                       compression)(batch)
 
-    tables = block_tables(ds.map_batches(partial_fn, batch_format="pyarrow",
-                                         batch_size=None))
+    tables = common.block_tables(ds.map_batches(
+        partial_fn, batch_format="pyarrow", batch_size=None))
     if not tables:
         schema = ds.schema()
         return _empty_digests(schema, group_col,
@@ -175,14 +177,17 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
              percentiles=DEFAULT_PERCENTILES):
     """pages Dataset/path -> per-language quantile summary table.
 
-    A path is read with one read task per Parquet file, fused with the
-    feature and partial-digest stages: each file yields one partial digest
-    per language (a file over Ray's 128 MiB block target still comes out
-    in several blocks). A Dataset is used in the blocks it has: to split
-    the input another way (many small files, or few huge files on a wide
-    cluster, a case whose best split is unmeasured), pass a Dataset built
-    with ``read_parquet(..., override_num_blocks=k)`` or ``repartition``;
-    the partial-digest stage makes one digest per (block, language).
+    A path is read in ``min(files, CPUs)`` read tasks — one per CPU, at
+    most one per Parquet file — fused with the feature and partial-digest
+    stages: each read task yields one partial digest per language (a task
+    over Ray's 128 MiB block target still comes out in several blocks).
+    On a 1-CPU cluster the whole input is one read task (one block while
+    it stays under that target), so the rollup runs no coalesce level. A
+    Dataset is used in the blocks it has: to split the input another way
+    (many small files, or few huge files on a wide cluster, a case whose
+    best split is unmeasured), pass a Dataset built with
+    ``read_parquet(..., override_num_blocks=k)`` or ``repartition``; the
+    partial-digest stage makes one digest per (block, language).
 
     The read, feature and digest stages run inside this call (the
     rollup's driver fold needs their output); the returned Dataset is the
@@ -193,12 +198,15 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
         # Ray's own split is size-driven (at least 200 blocks, none under
         # 1 MiB): it cut a 12 MB, 4-file input into 24 blocks even at
         # 1 CPU, each paying a partial digest per language and shuffle
-        # fixed costs. pyarrow's listing is the one Ray reads, skipping
-        # _- and .-prefixed names such as _SUCCESS.
+        # fixed costs. More read tasks than CPUs only queue, each with its
+        # own dispatch round trip and partial block. pyarrow's listing is
+        # the one Ray reads, skipping _- and .-prefixed names such as
+        # _SUCCESS.
         cols = ["html", "lang"] if from_html else ["text", "lang"]
         files = pads.dataset(pages, format="parquet").files
-        pages = ray.data.read_parquet(pages, columns=cols,
-                                      override_num_blocks=len(files))
+        pages = ray.data.read_parquet(
+            pages, columns=cols,
+            override_num_blocks=min(len(files), common.cluster_cpus()))
     # the features follow from the input's columns, known without running
     # anything for a read: no limit(1) probe of the feature stage
     features = feature_names(pages.columns() or ())

@@ -6,7 +6,7 @@ import pyarrow as pa
 
 import ray
 
-__all__ = ["as_single_array", "block_refs", "block_tables"]
+__all__ = ["as_single_array", "block_refs", "block_tables", "cluster_cpus"]
 
 
 def as_single_array(col) -> pa.Array:
@@ -31,3 +31,9 @@ def block_tables(ds) -> list[pa.Table]:
     """:func:`block_refs` fetched, zero-row blocks dropped (an empty block
     may be schemaless, which breaks a concat)."""
     return [t for t in map(ray.get, block_refs(ds)) if t.num_rows]
+
+
+def cluster_cpus() -> int:
+    """The Ray cluster's logical CPUs (8 when it reports none): the
+    parallelism the read split and the merge width are sized to."""
+    return int(ray.cluster_resources().get("CPU", 8))

@@ -12,8 +12,9 @@ merge state per group (the reference's one merge routine,
 ``tdigest_add_digest``).
 
 :func:`grouped_digests_fast` composes the two into a fold tree: partials,
-coalesce to :func:`_merge_width` blocks, a fold per block, one driver
-fold. Nothing sorts or shuffles by key, so a null key is an ordinary group.
+then, only when they outnumber :func:`_merge_width` blocks, a coalesce to
+that many blocks and a fold per block, then one driver fold. Nothing sorts
+or shuffles by key, so a null key is an ordinary group.
 """
 
 from __future__ import annotations
@@ -109,40 +110,47 @@ def _merge_width() -> int:
     one per CPU, at most 64. The merge pays fixed costs per input block
     (a 512-block 10M-row rollup took 10.2 s uncoalesced, 1.4 s
     coalesced)."""
-    return min(int(ray.cluster_resources().get("CPU", 8)), 64)
+    return min(common.cluster_cpus(), 64)
 
 
 def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
-    """``tdigest(v, comp) GROUP BY keys`` as a two-level fold tree: the
-    one grouped digest rollup (flagship, ``windows.windowed_digests``,
+    """``tdigest(v, comp) GROUP BY keys`` as a fold tree: the one grouped
+    digest rollup (flagship, ``windows.windowed_digests``,
     ``normalize.group_digests``, and :func:`global_digest_tree` with no
     keys).
 
     1. :func:`make_partial_digest_fn` per block (``batch_size=None``:
-       one partial per (block, key), never per 1024 rows);
-    2. coalesce the partial rows into :func:`_merge_width` blocks
-       (``repartition``: a split/merge, no sort and no shuffle of keys);
-    3. :func:`merge_partial_digest_table` per coalesced block;
-    4. one :func:`merge_partial_digest_table` of those blocks in the
+       one partial per (block, key), never per 1024 rows), materialized;
+    2. only when that leaves more than :func:`_merge_width` blocks, the
+       coalesce level: ``repartition(_merge_width())`` (a split/merge, no
+       sort and no shuffle of keys), then
+       :func:`merge_partial_digest_table` per coalesced block;
+    3. one :func:`merge_partial_digest_table` of the blocks in the
        driver.
+
+    At most :func:`_merge_width` partial blocks fold in the driver as
+    they are: a repartition and a fold task over so few rows cost more in
+    Ray round trips than they save.
 
     Executes ``ds`` and returns a one-block Dataset of ``<key...>,
     <value>_digest`` (binary wire format), groups in key order; on an
     input with no rows, ``ds.schema()`` types the empty keys. A null
     key is one group of its own and comes out as null, as on every route
-    through the fold. The driver fetches and folds one coalesced block at
-    a time and sees at most :func:`_merge_width` rows per key, so a hot
-    key needs no salting; at high cardinality the driver fold is the
-    serial step (about width x keys rows).
+    through the fold. The driver fetches and folds one block at a time
+    and sees at most :func:`_merge_width` rows per key, so a hot key
+    needs no salting; at high cardinality the driver fold is the serial
+    step (about width x keys rows).
     """
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = [value_cols] if isinstance(value_cols, str) else list(value_cols)
     mid = ds.map_batches(
         make_partial_digest_fn(key_cols, value_cols, compression),
-        batch_format="pyarrow", batch_size=None,
-    ).repartition(_merge_width()).map_batches(
-        lambda b: merge_partial_digest_table(b, key_cols, value_cols),
-        batch_format="pyarrow", batch_size=None)
+        batch_format="pyarrow", batch_size=None).materialize()
+    width = _merge_width()
+    if mid.num_blocks() > width:
+        mid = mid.repartition(width).map_batches(
+            lambda b: merge_partial_digest_table(b, key_cols, value_cols),
+            batch_format="pyarrow", batch_size=None)
     out = merge_partial_digest_table(
         (t for t in map(ray.get, common.block_refs(mid)) if t.num_rows),
         key_cols, value_cols)

@@ -22,3 +22,18 @@ def sf_dir():
 @pytest.fixture(scope="session")
 def sf01_dir():
     return "/root/testdata/sf0.01"
+
+
+@pytest.fixture
+def materialized(monkeypatch):
+    """Every Dataset ``materialize()``d during the test, recorded before it
+    executes (a materialized Dataset's plan no longer shows the operators
+    that produced it)."""
+    executed, real = [], ray.data.Dataset.materialize
+
+    def recording(self):
+        executed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", recording)
+    return executed

@@ -102,10 +102,11 @@ class TestPartialDigests:
         assert fast.schema().base_schema == table.schema
 
     def test_no_sort_or_aggregate_in_the_executed_plan(self, monkeypatch):
-        """The rollup executes partials, a repartition and a fold per
-        block, then folds in the driver: no Aggregate or Sort operator
-        (Ray's sort shuffle samples keys with numpy, which cannot compare
-        a null key with a string)."""
+        """With more partial blocks (8) than the merge width (4 CPUs), the
+        rollup executes partials, a repartition and a fold per block, then
+        folds in the driver, with exact counts: no Aggregate or Sort
+        operator (Ray's sort shuffle samples keys with numpy, which cannot
+        compare a null key with a string)."""
         from tdigest_ray.stages import common
 
         executed, block_refs = [], common.block_refs
@@ -117,16 +118,44 @@ class TestPartialDigests:
         monkeypatch.setattr(common, "block_refs", recording_block_refs)
         ds, tbl = make_ds()
         out = grouped_digests_fast(ds, "k", "v").take_all()
-        assert sum(serde.digest_count(r["v_digest"]) for r in out) \
-            == tbl.num_rows
+        assert {r["k"]: serde.digest_count(r["v_digest"]) for r in out} \
+            == Counter(tbl.column("k").to_pylist())
         assert len(executed) == 1
-        ops, stack = [], [executed[0]._logical_plan.dag]
-        while stack:
-            op = stack.pop()
-            ops.append(op.name.split("(")[0])
-            stack.extend(op.input_dependencies)
+        ops = _plan_ops(executed[0])
         assert "Repartition" in ops
         assert not {"Aggregate", "Sort"} & set(ops), ops
+
+    @pytest.mark.parametrize("blocks", [2, 4])
+    def test_few_partial_blocks_fold_in_the_driver(self, blocks, materialized,
+                                                   monkeypatch):
+        """With no more partial blocks than the merge width (4 CPUs),
+        nothing executed holds a repartition, and the result is
+        byte-identical to one in-process fold of the partial tables."""
+        from ray.data import DataContext
+
+        from tdigest_ray.stages import partial
+
+        monkeypatch.setattr(DataContext.get_current().execution_options,
+                            "preserve_order", True)
+        _, tbl = make_ds(20_000)
+        parts = [tbl.slice(i * len(tbl) // blocks, len(tbl) // blocks)
+                 for i in range(blocks)]
+        out = grouped_digests_fast(ray.data.from_arrow(parts), "k", "v")
+        assert not any("Repartition" in _plan_ops(ds) for ds in materialized)
+        fn = partial.make_partial_digest_fn(["k"], ["v"], 100)
+        want = partial.merge_partial_digest_table([fn(p) for p in parts],
+                                                  ["k"], ["v"])
+        assert out.take_all() == want.to_pylist()
+
+
+def _plan_ops(ds) -> list:
+    """The logical operator names of ``ds``'s plan, without arguments."""
+    ops, stack = [], [ds._logical_plan.dag]
+    while stack:
+        op = stack.pop()
+        ops.append(op.name.split("(")[0])
+        stack.extend(op.input_dependencies)
+    return ops
 
 
 class TestGlobalDigestTree:

@@ -564,10 +564,13 @@ def test_flagship_on_path_executes_once(pages_dir, tmp_path, monkeypatch):
     log = str(tmp_path / "calls")
     monkeypatch.setattr(flagship, "add_features",
                         _counting(log, flagship.add_features))
-    # the read flagship() makes: one read task per file
+    from tdigest_ray.stages import common
+
+    # the read flagship() makes: one read task per CPU, at most one per file
     read = ray.data.read_parquet(pages_dir, columns=["html", "lang"],
-                                 override_num_blocks=len(
-                                     _page_files(pages_dir)))
+                                 override_num_blocks=min(
+                                     len(_page_files(pages_dir)),
+                                     common.cluster_cpus()))
     blocks = read.materialize().num_blocks()
     flagship.prepare_features(read, from_html=True).materialize()
     once = _calls(log)
@@ -586,42 +589,63 @@ def _plan_names(ds) -> list:
     return names
 
 
-@pytest.mark.parametrize("read_blocks", [None, 2, 8])
-def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
-                                           read_blocks):
-    """A path is read one block per Parquet file (``_SUCCESS`` is not a
-    file), not in Ray's size-driven split; a Dataset read with
-    ``override_num_blocks=k`` is used in its ``k`` blocks. Either way the
-    partial-digest UDF runs once per block and no repartition runs ahead
-    of it in the Dataset the rollup executes."""
-    import ray
+def _counted_partial(monkeypatch, log: str) -> None:
+    """Count the partial-digest UDF's calls in ``log``."""
+    from tdigest_ray.stages import partial
 
-    from tdigest_ray.stages import common, partial
-
-    assert len(_page_files(pages_dir)) == 4
-    log = str(tmp_path / "calls")
     real = partial.make_partial_digest_fn
 
     def counted_partial(*args, **kwargs):
         return _counting(log, real(*args, **kwargs))
 
     monkeypatch.setattr(partial, "make_partial_digest_fn", counted_partial)
-    executed, block_refs = [], common.block_refs
 
-    def recording_block_refs(ds):
-        executed.append(ds)
-        return block_refs(ds)
 
-    monkeypatch.setattr(common, "block_refs", recording_block_refs)
+@pytest.mark.parametrize("read_blocks", [None, 2, 8])
+def test_flagship_reads_one_block_per_file(pages_dir, tmp_path, monkeypatch,
+                                           materialized, read_blocks):
+    """A path is read one block per Parquet file (``_SUCCESS`` is not a
+    file) on a cluster with a CPU per file, not in Ray's size-driven
+    split; a Dataset read with ``override_num_blocks=k`` is used in its
+    ``k`` blocks. Either way the partial-digest UDF runs once per block
+    and no repartition runs ahead of it in the partial stage the rollup
+    materializes."""
+    import ray
+
+    assert len(_page_files(pages_dir)) == 4
+    log = str(tmp_path / "calls")
+    _counted_partial(monkeypatch, log)
     source = (pages_dir if read_blocks is None else ray.data.read_parquet(
         pages_dir, columns=["html", "lang"], override_num_blocks=read_blocks))
     out = flagship.flagship(source)
     assert out.count() > 0
     assert _calls(log) == (read_blocks or 4)
-    assert len(executed) == 1
-    names = _plan_names(executed[0])
-    upstream = names[names.index("MapBatches(counted)"):]
+    stages = [_plan_names(ds) for ds in materialized]
+    stages = [names for names in stages if "MapBatches(counted)" in names]
+    assert len(stages) == 1
+    upstream = stages[0][stages[0].index("MapBatches(counted)"):]
     assert upstream[-1] == "ReadParquet" and "Repartition" not in upstream
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_flagship_reads_one_block_per_cpu(pages_dir, tmp_path, monkeypatch,
+                                          materialized, cpus):
+    """With fewer CPUs than files, a path is read in one block per CPU:
+    the partial-digest UDF runs ``min(files, CPUs)`` times, no
+    repartition runs, and the per-language counts stay exact."""
+    from tdigest_ray.stages import common
+
+    monkeypatch.setattr(common, "cluster_cpus", lambda: cpus)
+    log = str(tmp_path / "calls")
+    _counted_partial(monkeypatch, log)
+    out = flagship.flagship(pages_dir).to_pandas().set_index("lang")
+    assert _calls(log) == min(len(_page_files(pages_dir)), cpus)
+    assert not any("Repartition" in _plan_names(ds) for ds in materialized)
+    want = pq.read_table(pages_dir, columns=["lang"]).to_pandas()[
+        "lang"].value_counts()
+    for f in flagship.DEFAULT_FEATURES:
+        assert out[f"{f}_count"].sort_index().to_dict() == \
+            want.sort_index().to_dict()
 
 
 @pytest.mark.parametrize("unknown_schema", [False, True])

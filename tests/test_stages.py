@@ -3,8 +3,10 @@ multimodal plumbing."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray
+from hypothesis import given, settings, strategies as st
 
 from tdigest_ray.stages import dedup, features, multimodal, similarity, textstats
 
@@ -40,6 +42,30 @@ class TestFeatures:
         out = features.add_features(tbl, html_col=None)
         assert out.column("text_len").to_pylist() == [5, 3, 0]
         assert out.column("token_count").to_pylist() == [3, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.one_of(
+               st.none(),
+               st.text(alphabet=st.sampled_from([" ", "a", "é", "語", "\x00"]),
+                       max_size=6)), max_size=12),
+           cuts=st.lists(st.integers(0, 12), max_size=3),
+           large=st.booleans(), start=st.integers(0, 12),
+           stop=st.integers(0, 12))
+    def test_token_count_matches_count_substring(self, rows, cuts, large,
+                                                 start, stop):
+        """The byte-buffer token count equals ``count_substring(" ") + 1``
+        over nulls, "", multi-byte characters, NUL bytes and runs of
+        spaces, on sliced, chunked, string and large_string input."""
+        typ = pa.large_string() if large else pa.string()
+        arr = pa.array(rows, typ).slice(start, stop)
+        bounds = [0, *sorted(min(c, len(arr)) for c in cuts), len(arr)]
+        col = pa.chunked_array(
+            [arr.slice(a, b - a) for a, b in zip(bounds, bounds[1:])], typ)
+        out = features.add_features(pa.table({"text": col}), html_col=None)
+        want = pc.add(pc.count_substring(col, " "), 1).cast(pa.int64())
+        got = out.column("token_count")
+        assert got.type == pa.int64()
+        assert got.to_pylist() == want.to_pylist()
 
     def test_feature_names_are_the_appended_columns(self):
         tbl = doc_table(["a b c", "one"])
