@@ -37,8 +37,7 @@ def digest_to_state(d: TDigest) -> TDigest:
     the same insertion order (incremental.sql contract).
     """
     state = TDigest(d.compression)
-    means, counts = d.centroids()
-    state.add_centroids(means.copy(), counts.copy())
+    state.merge_digest(d)
     return state
 
 

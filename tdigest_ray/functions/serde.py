@@ -143,58 +143,55 @@ def to_bytes(d: TDigest) -> bytes:
     return header + arr.tobytes()
 
 
-def _read_header(b: bytes) -> tuple[int, int, int]:
-    """Validated ``(flags, count, compression)`` of a binary digest whose
-    length matches its centroid count."""
+def _read_header(b: bytes) -> tuple[int, int, int, int]:
+    """Validated ``(flags, count, compression, ncentroids)`` of a binary
+    digest whose length matches its centroid count."""
     if len(b) < _HEADER.size:
         raise ValueError("invalid t-digest binary value")
     flags, count, compression, ncentroids = _HEADER.unpack_from(b)
     _validate_header(flags, count, compression, ncentroids)
     if len(b) != _HEADER.size + _PAIR.itemsize * ncentroids:
         raise ValueError("invalid t-digest binary length")
-    return flags, count, compression
+    return flags, count, compression, ncentroids
 
 
-def _check_centroids(flags: int, count: int, means: np.ndarray,
-                     counts: np.ndarray) -> None:
-    """Validate decoded centroids in place, converting legacy (sum,count)
-    means. One combined predicate accepts exactly what
-    :func:`_validate_centroids` accepts: counts in ``[1, count]`` summing
-    to ``count`` (as int64, like the ordered checks) and means
-    non-decreasing, which no NaN passes. Legacy input and anything the
-    predicate rejects go through the ordered checks, which name the
-    failure with the reference's message."""
-    if (
+def _decode(b: bytes) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Validated ``(count, compression, means, counts)`` of a binary digest
+    (``tdigest_recv``), its pairs converted into exactly-sized native arrays.
+
+    One combined test accepts only what :func:`_validate_centroids`
+    accepts. The int64 prefix sums of the counts (wrapping like the ordered
+    checks' sum) rise strictly from a positive first one, so every count
+    is positive and no sum wraps; the last is ``count``, so none is above
+    it. The means are non-decreasing, which no NaN passes. The test
+    rejects only one kind of valid digest, one whose counts' int64 sum
+    wraps. That one, legacy ``(sum, count)`` input and every invalid one go
+    through the ordered checks, which accept it, convert the legacy means
+    or name the failure with the reference's message."""
+    flags, count, compression, n = _read_header(b)
+    pairs = np.frombuffer(b, _PAIR, n, _HEADER.size)
+    means = pairs["mean"].astype(np.float64)
+    counts = pairs["count"].astype(np.int64)
+    cum = np.add.accumulate(counts)
+    if not (
         flags & TDIGEST_STORES_MEAN
-        and np.add.reduce(counts) == count
-        and np.minimum.reduce(counts) > 0
-        and np.maximum.reduce(counts) <= count
-        and np.count_nonzero(means[1:] >= means[:-1]) == len(means) - 1
+        and cum[-1] == count
+        and cum[0] > 0
+        and np.count_nonzero(cum[1:] > cum[:-1]) == n - 1
+        and np.count_nonzero(means[1:] >= means[:-1]) == n - 1
         and means[0] == means[0]  # NaN, when there is no pair to compare
     ):
-        return
-    means[:] = _validate_centroids(flags, count, means, counts)[0]
+        means = _validate_centroids(flags, count, means, counts)[0]
+    return count, compression, means, counts
 
 
 def from_bytes(b: bytes) -> TDigest:
-    """Decode a binary digest (``tdigest_recv``): the big-endian pairs are
-    converted straight into the new digest's buffers and checked there."""
-    flags, count, compression = _read_header(b)
-    pairs = np.frombuffer(b, dtype=_PAIR, offset=_HEADER.size)
-    d = TDigest.from_centroids(compression, pairs["mean"], pairs["count"],
-                               count=count)
-    _check_centroids(flags, count, *d.centroids())
-    return d
-
-
-def _decode_centroids(b: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Validated native ``(means, counts)`` of a binary digest."""
-    flags, count, _compression = _read_header(b)
-    pairs = np.frombuffer(b, dtype=_PAIR, offset=_HEADER.size)
-    means = pairs["mean"].astype(np.float64)
-    counts = pairs["count"].astype(np.int64)
-    _check_centroids(flags, count, means, counts)
-    return means, counts
+    """Decode a binary digest (``tdigest_recv``). The digest holds its
+    centroids at their exact size and gets its append buffers only when
+    something is added to it (see :class:`TDigest`), so a digest that is
+    only queried never allocates them."""
+    count, compression, means, counts = _decode(b)
+    return TDigest._stored(compression, count, means, counts)
 
 
 def merge_blobs(blobs, acc: TDigest | None = None) -> TDigest | None:
@@ -219,7 +216,7 @@ def merge_blobs(blobs, acc: TDigest | None = None) -> TDigest | None:
         if acc is None:
             acc = from_bytes(b)
         else:
-            acc.add_centroids(*_decode_centroids(b))
+            acc.add_centroids(*_decode(b)[2:])
     return acc
 
 

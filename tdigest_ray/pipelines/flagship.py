@@ -73,10 +73,12 @@ def _checked_features(schema, features) -> list:
 
 
 def _empty_digests(schema, group_col: str, features) -> pa.Table:
-    """The 0-row grouped result: ``<group_col>`` (null-typed when the
-    schema is unknown) plus one binary ``<feature>_digest`` per feature."""
-    gtype = (pa.null() if schema is None
-             else schema.types[schema.names.index(group_col)])
+    """The 0-row grouped result: ``<group_col>`` (null-typed when
+    ``schema`` is unknown or lacks it) plus one binary
+    ``<feature>_digest`` per feature."""
+    gtype = (schema.types[schema.names.index(group_col)]
+             if schema is not None and group_col in schema.names
+             else pa.null())
     cols = {group_col: pa.array([], gtype)}
     cols.update({f"{f}_digest": pa.array([], pa.binary()) for f in features})
     return pa.table(cols)
@@ -95,8 +97,9 @@ def grouped_digests(ds, group_col: str = "lang",
 
     schema = ds.schema()
     present = _checked_features(schema, features)
-    if schema is None:
-        return ray.data.from_arrow(_empty_digests(schema, group_col, present))
+    if schema is None:  # no rows: the key keeps the source's type
+        return ray.data.from_arrow(_empty_digests(
+            common.source_schema(ds), group_col, present))
     return grouped_digests_fast(ds, group_col, present, compression)
 
 
@@ -132,7 +135,7 @@ def grouped_digests_table(ds, group_col: str = "lang",
         partial_fn, batch_format="pyarrow", batch_size=None))
     if not tables:
         schema = ds.schema()
-        return _empty_digests(schema, group_col,
+        return _empty_digests(schema or common.source_schema(ds), group_col,
                               _checked_features(schema, features))
     # every block comes out of one partial_fn over one read's columns
     present = [f for f in features
@@ -147,6 +150,13 @@ def finalize_quantiles(digest_table, features=DEFAULT_FEATURES,
                        group_col: str = "lang"):
     """Project quantiles out of a grouped digest table (the ~1.5 ms
     'query the summary table' step of README.md:131-133, as map_batches)."""
+    return digest_table.map_batches(
+        _quantile_columns(features, percentiles, group_col),
+        batch_format="pyarrow")
+
+
+def _quantile_columns(features, percentiles, group_col: str):
+    """The per-batch projection of :func:`finalize_quantiles`."""
     ps = list(percentiles)
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -170,7 +180,7 @@ def finalize_quantiles(digest_table, features=DEFAULT_FEATURES,
             cols[f"{f}_count"] = pa.array(ns)
         return pa.table(cols)
 
-    return digest_table.map_batches(fn, batch_format="pyarrow")
+    return fn
 
 
 def flagship(pages, compression: int = 100, from_html: bool = True,
@@ -212,5 +222,11 @@ def flagship(pages, compression: int = 100, from_html: bool = True,
     features = feature_names(pages.columns() or ())
     feats = prepare_features(pages, from_html=from_html)
     digests = grouped_digests_fast(feats, "lang", features, compression)
-    return finalize_quantiles(digests, features=features,
-                              percentiles=percentiles)
+    if digests.count():  # one in-memory block: counting it runs nothing
+        return finalize_quantiles(digests, features=features,
+                                  percentiles=percentiles)
+    # Ray runs no map UDF on no rows: project the empty table here, so the
+    # answer keeps its columns and the key its type
+    empty = digests.schema().base_schema.empty_table()
+    return ray.data.from_arrow(
+        _quantile_columns(features, percentiles, "lang")(empty))

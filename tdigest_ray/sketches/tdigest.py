@@ -92,6 +92,14 @@ class TDigest:
     with an uncompacted tail region, total item ``count``, ``ncompactions``
     parity for scan-direction alternation, and ``ncompacted`` marking the
     sorted/compacted prefix.
+
+    A digest read from storage (``serde.from_bytes``,
+    :meth:`from_centroids`, unpickling, :meth:`copy`) holds its centroids
+    at their exact size and answers queries from them as they are. The
+    ``buffer_size(compression)`` append buffers are allocated by the first
+    write (``add``, ``add_many``, ``add_centroid``, ``add_centroids``,
+    ``add_weighted``, ``merge_digest``), so a digest that is only read
+    never carries them.
     """
 
     __slots__ = (
@@ -104,20 +112,29 @@ class TDigest:
         "_n",
     )
 
-    def __init__(self, compression: int = 100, buffer_factor: int = 10):
-        """``buffer_factor`` is the reference's C2/C1 buffer coefficient
-        (default 10, tdigest.c:94-107 — the paper suggests 5..20 and the
-        reference notes it could be user-defined). Larger factors amortize
-        compactions for batch-heavy workloads at the cost of memory; the
-        wire format is unaffected because frozen digests are compacted."""
+    def __init__(self, compression: int = 100):
         self.compression = check_compression(compression)
-        cap = buffer_factor * self.compression
-        self._means = np.empty(cap, dtype=np.float64)
-        self._counts = np.empty(cap, dtype=np.int64)
+        self._means = np.empty(0, dtype=np.float64)  # see _capacity
+        self._counts = np.empty(0, dtype=np.int64)
         self._n = 0  # number of live centroids (compacted + buffered)
         self.count = 0  # total items represented
         self.ncompactions = 0
         self.ncompacted = 0
+
+    def _capacity(self) -> int:
+        """Size of the append buffers, ``buffer_size(compression)``
+        (tdigest.c:94-107). A new digest has none and a stored one holds
+        its centroids at their exact size: the first write moves them into
+        buffers of this size."""
+        cap = buffer_size(self.compression)
+        if len(self._means) != cap:
+            n = self._n
+            means = np.empty(cap, dtype=np.float64)
+            counts = np.empty(cap, dtype=np.int64)
+            means[:n] = self._means[:n]
+            counts[:n] = self._counts[:n]
+            self._means, self._counts = means, counts
+        return cap
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -187,8 +204,8 @@ class TDigest:
         out.count = self.count
         out.ncompactions = self.ncompactions
         out.ncompacted = self.ncompacted
-        out._means = self._means.copy()
-        out._counts = self._counts.copy()
+        out._means = self._means[: self._n].copy()
+        out._counts = self._counts[: self._n].copy()
         out._n = self._n
         return out
 
@@ -207,21 +224,38 @@ class TDigest:
 
         Unlike :meth:`merge_digest`, this restores the exact centroid layout
         without re-inserting through the buffer (used by serde round-trips).
-        The arrays are converted straight into the digest's buffers, so
-        e.g. big-endian wire fields cost one copy.
+        The arrays are copied at their exact size (one conversion for e.g.
+        big-endian wire fields); the append buffers wait for a first write.
         """
-        d = cls(compression)
-        n = len(means)
-        if n > len(d._means):
+        compression = check_compression(compression)
+        if len(means) > buffer_size(compression):
             raise ValueError(
                 "number of centroids for the t-digest exceeds buffer size"
             )
-        d._means[:n] = means
-        d._counts[:n] = counts
-        d._n = n
-        d.count = int(d._counts[:n].sum()) if count is None else int(count)
-        d.ncompacted = n if ncompacted is None else ncompacted
+        means = np.array(means, dtype=np.float64)
+        counts = np.array(counts, dtype=np.int64)
+        if counts.shape != means.shape:
+            raise ValueError(f"{len(means)} means but {counts.size} counts")
+        d = cls._stored(compression,
+                        int(counts.sum()) if count is None else int(count),
+                        means, counts)
+        if ncompacted is not None:
+            d.ncompacted = ncompacted
         d.ncompactions = ncompactions
+        return d
+
+    @classmethod
+    def _stored(cls, compression: int, count: int, means: np.ndarray,
+                counts: np.ndarray) -> "TDigest":
+        """A compacted digest that takes ownership of the exactly-sized
+        native ``means`` and ``counts`` (no copy, no checks)."""
+        d = cls.__new__(cls)
+        d.compression = compression
+        d.count = count
+        d.ncompactions = 0
+        d._means = means
+        d._counts = counts
+        d._n = d.ncompacted = len(means)
         return d
 
     # ------------------------------------------------------------------ #
@@ -241,7 +275,7 @@ class TDigest:
             raise ValueError(f"invalid count value {count}, must be a positive value")
         if math.isnan(value):
             raise ValueError("NaN values cannot be added to a t-digest")
-        cap = len(self._means)
+        cap = self._capacity()
         if count > cap:
             g_means, g_counts = generate_centroids(self.compression, value, count)
             self.add_centroids(g_means, g_counts)
@@ -270,7 +304,7 @@ class TDigest:
             values = values.ravel()
         if np.isnan(values).any():
             raise ValueError("NaN values cannot be added to a t-digest")
-        cap = len(self._means)
+        cap = self._capacity()
         pos = 0
         total = len(values)
         while pos < total:
@@ -285,7 +319,7 @@ class TDigest:
 
     def add_centroid(self, mean: float, count: int) -> None:
         """Mirror of ``tdigest_add_centroid`` (tdigest.c:769-789)."""
-        if self._n == len(self._means):
+        if self._n == self._capacity():
             self.compress()
         self._means[self._n] = mean
         self._counts[self._n] = count
@@ -297,7 +331,7 @@ class TDigest:
         one-at-a-time ``tdigest_add_centroid`` loop)."""
         means = np.asarray(means, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.int64)
-        cap = len(self._means)
+        cap = self._capacity()
         pos = 0
         total = len(means)
         while pos < total:
@@ -332,7 +366,7 @@ class TDigest:
             raise ValueError("NaN values cannot be added to a t-digest")
         if len(values) == 0:
             return
-        cap = len(self._means)
+        cap = self._capacity()
         # pair i expands to the flat positions [begins[i], ends[i])
         ends = np.cumsum(counts)
         begins = ends - counts
@@ -365,7 +399,9 @@ class TDigest:
         if other._n == 0:
             return
         om, oc = other.centroids()
-        self.add_centroids(om.copy(), oc.copy())
+        if other is self:  # a compaction mid-append would overwrite them
+            om, oc = om.copy(), oc.copy()
+        self.add_centroids(om, oc)
 
     # ------------------------------------------------------------------ #
     # compaction
@@ -613,25 +649,27 @@ class TDigest:
         for each argument on the compacted digest; NaN when empty."""
         if self.count == 0:
             return [math.nan] * len(args)
-        self.compress()
-        means = self._means[: self._n]
-        counts = self._counts[: self._n]
-        cum = counts.cumsum()
+        if self.ncompacted != self._n:
+            self.compress()
+        means, counts = self._means, self._counts
+        if len(means) != self._n:  # a digest with append buffers
+            means, counts = means[: self._n], counts[: self._n]
+        cum = np.add.accumulate(counts)
         return [at(a, means, counts, cum) for a in args]
 
     def _quantile_at(self, p: float, means, counts, cum) -> float:
         n = self._n
         if p == 0.0:
-            return float(means[0])
+            return means.item(0)
         if p == 1.0:
-            return float(means[n - 1])
+            return means.item(n - 1)
         goal = p * float(self.count)
         j = int(cum.searchsorted(goal, side="right"))
         if j >= n:  # numeric guard; cannot happen for p < 1 in exact math
-            return float(means[n - 1])
-        count = float(cum[j - 1]) if j > 0 else 0.0
-        c_mean = float(means[j])
-        c_count = float(counts[j])
+            return means.item(n - 1)
+        count = float(cum.item(j - 1)) if j > 0 else 0.0
+        c_mean = means.item(j)
+        c_count = float(counts.item(j))
         delta = goal - count - c_count / 2.0
         if abs(delta) < 1e-9:
             return c_mean
@@ -640,10 +678,12 @@ class TDigest:
             return c_mean
         if on_the_right:
             prev_mean, prev_count = c_mean, c_count
-            next_mean, next_count = float(means[j + 1]), float(counts[j + 1])
+            next_mean = means.item(j + 1)
+            next_count = float(counts.item(j + 1))
             count += prev_count / 2.0
         else:
-            prev_mean, prev_count = float(means[j - 1]), float(counts[j - 1])
+            prev_mean = means.item(j - 1)
+            prev_count = float(counts.item(j - 1))
             next_mean, next_count = c_mean, c_count
             count -= prev_count / 2.0
         slope = (next_mean - prev_mean) / (next_count / 2.0 + prev_count / 2.0)
@@ -656,19 +696,20 @@ class TDigest:
         if j >= n:
             # all means < value -> past the largest
             return 1.0
-        count = float(cum[j - 1]) if j > 0 else 0.0
-        c_mean = float(means[j])
+        count = float(cum.item(j - 1)) if j > 0 else 0.0
+        c_mean = means.item(j)
         if value == c_mean:
             # sum all equal-mean centroids, return midpoint rank
             j2 = int(means.searchsorted(value, side="right"))
-            count_at_value = float(cum[j2 - 1] - (cum[j - 1] if j > 0 else 0))
+            count_at_value = float(cum.item(j2 - 1)
+                                   - (cum.item(j - 1) if j > 0 else 0))
             return (count + count_at_value / 2.0) / total
         if j == 0:
             # below the smallest mean
             return 0.0
-        prev_mean = float(means[j - 1])
-        prev_count = int(counts[j - 1])
-        c_count = float(counts[j])
+        prev_mean = means.item(j - 1)
+        prev_count = counts.item(j - 1)
+        c_count = float(counts.item(j))
         # NB: the reference subtracts integer half of prev count here
         # (tdigest.c:726 `count -= (prev->count / 2)` — int64 division)
         count -= prev_count // 2
@@ -686,20 +727,31 @@ class TDigest:
         """
         self._sort()
         n = self._n
-        ms = self._means[:n]
         cs = self._counts[:n]
         count_low = math.floor(self.count * low)
         count_high = math.ceil(self.count * high)
-        # vectorized form of the per-centroid clipping walk
-        cum = np.cumsum(cs)
-        done_before = cum - cs  # count_done prior to each centroid
-        count_add = cs - np.minimum(
-            np.maximum(0, count_low - done_before), cs
-        )
-        count_add = np.minimum(np.maximum(0, count_high - done_before), count_add)
-        sum_ = float(np.dot(ms, count_add.astype(np.float64)))
-        cnt = int(count_add.sum())
-        return sum_, cnt
+        # The walk takes min(cs[i], cum[i] - count_low, count_high -
+        # cum[i] + cs[i]) items from centroid i when that is positive: none
+        # before s (the first centroid past count_low) or after e (the
+        # first one reaching count_high, which is at least 1), all of
+        # those in between and a clipped count at s and at e.
+        cum = np.add.accumulate(cs)
+        s = int(cum.searchsorted(count_low, side="right"))
+        e = min(int(cum.searchsorted(count_high, side="left")), n - 1)
+        if s > e:
+            return 0.0, 0
+        add_s = min(cs.item(s), cum.item(s) - count_low)
+        add_e = min(cs.item(e), count_high - cum.item(e) + cs.item(e))
+        if s == e:
+            add_s = add_e = cnt = min(add_s, add_e)
+        else:
+            cnt = add_s + (cum.item(e - 1) - cum.item(s)) + add_e
+        count_add = cs.astype(np.float64)
+        count_add[:s] = 0.0
+        count_add[e + 1:] = 0.0
+        count_add[s] = add_s
+        count_add[e] = add_e
+        return float(np.dot(self._means[:n], count_add)), cnt
 
     def trimmed_sum(self, low: float, high: float) -> float | None:
         check_trim_values(low, high)

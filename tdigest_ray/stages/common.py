@@ -6,7 +6,8 @@ import pyarrow as pa
 
 import ray
 
-__all__ = ["as_single_array", "block_refs", "block_tables", "cluster_cpus"]
+__all__ = ["as_single_array", "block_refs", "block_tables", "cluster_cpus",
+           "source_schema"]
 
 
 def as_single_array(col) -> pa.Array:
@@ -37,3 +38,15 @@ def cluster_cpus() -> int:
     """The Ray cluster's logical CPUs (8 when it reports none): the
     parallelism the read split and the merge width are sized to."""
     return int(ray.cluster_resources().get("CPU", 8))
+
+
+def source_schema(ds):
+    """The schema of the source ``ds`` starts from (a Parquet read's,
+    from the file metadata; an in-memory table's), or ``None``: nothing
+    runs. Ray runs no ``map_batches`` UDF on an input with no rows, so
+    such a stage has no schema of its own (``ds.schema()`` is ``None``),
+    while a column it passes through keeps its type from here."""
+    op = ds._logical_plan.dag
+    while op.input_dependencies:
+        op = op.input_dependencies[0]
+    return op.infer_schema()

@@ -84,6 +84,16 @@ def _space_counts(arr: pa.Array) -> pa.Array:
     return pa.array(counts.astype(np.int64), mask=mask)
 
 
+def token_counts(text: pa.ChunkedArray) -> pa.ChunkedArray:
+    """Whitespace tokens per row, as int64: the single-space separators + 1
+    (empty -> 1, matching DuckDB ``len(string_split(text, ' '))``), null
+    where the row is null. The values of ``pc.count_substring(text, " ")
+    + 1``, from :func:`_space_counts`."""
+    spaces = pa.chunked_array([_space_counts(c) for c in text.chunks],
+                              pa.int64())
+    return pc.add(spaces, 1)
+
+
 def add_features(batch: pa.Table, text_col: str = "text",
                  html_col: str | None = "html") -> pa.Table:
     """Append :func:`feature_names` as int64 columns."""
@@ -91,11 +101,7 @@ def add_features(batch: pa.Table, text_col: str = "text",
     batch = batch.append_column(
         "text_len", pc.cast(pc.utf8_length(text), pa.int64())
     )
-    # whitespace tokens: count of single-space separators + 1 (empty -> 1,
-    # matching DuckDB len(string_split(text, ' ')))
-    spaces = pa.chunked_array([_space_counts(c) for c in text.chunks],
-                              pa.int64())
-    batch = batch.append_column("token_count", pc.add(spaces, 1))
+    batch = batch.append_column("token_count", token_counts(text))
     if "html_size" in feature_names(batch.column_names, html_col):
         batch = batch.append_column(
             "html_size",

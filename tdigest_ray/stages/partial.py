@@ -155,10 +155,11 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
         (t for t in map(ray.get, common.block_refs(mid)) if t.num_rows),
         key_cols, value_cols)
     if not out.num_rows and key_cols:  # no partial table typed the keys
-        schema = ds.schema()
+        schema = ds.schema() or common.source_schema(ds)
         if schema is not None:
             types = dict(zip(schema.names, schema.types))
-            out = pa.table({**{k: pa.array([], types[k]) for k in key_cols},
+            out = pa.table({**{k: pa.array([], types.get(k, pa.null()))
+                               for k in key_cols},
                             **{c: out.column(c) for c in out.column_names
                                if c not in key_cols}})
     return ray.data.from_arrow(out)

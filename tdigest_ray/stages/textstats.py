@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tdigest_ray.stages.features import token_counts
+
 # ---------------------------------------------------------------- #
 # exact counts (SQL-parity: see __ray_entry__.oracle_sql)
 # ---------------------------------------------------------------- #
@@ -29,7 +31,7 @@ import pyarrow.compute as pc
 def add_text_counts(batch: pa.Table, text_col: str = "text") -> pa.Table:
     text = batch.column(text_col)
     n_chars = pc.cast(pc.utf8_length(text), pa.int64())
-    n_tokens = pc.cast(pc.add(pc.count_substring(text, " "), 1), pa.int64())
+    n_tokens = token_counts(text)
     n_punct = pc.cast(
         pc.count_substring_regex(text, r"[.,!?;:]"), pa.int64())
     n_upper = pc.cast(pc.count_substring_regex(text, r"[A-Z]"), pa.int64())
@@ -52,11 +54,7 @@ def add_quality_score(batch: pa.Table, text_col: str = "text") -> pa.Table:
     heuristics (cf. Gopher/C4 filtering rules, public)."""
     text = batch.column(text_col)
     n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(float)
-    n_tokens = (
-        pc.add(pc.count_substring(text, " "), 1)
-        .to_numpy(zero_copy_only=False)
-        .astype(float)
-    )
+    n_tokens = token_counts(text).to_numpy().astype(float)
     n_alpha = (
         pc.count_substring_regex(text, r"[A-Za-z]")
         .to_numpy(zero_copy_only=False)

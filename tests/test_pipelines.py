@@ -496,6 +496,33 @@ def test_grouped_digests_filtered_to_nothing():
                                   "html_size_digest"]
 
 
+def test_zero_row_parquet_keeps_the_key_type(tmp_path):
+    """Over a one-file, zero-row pages directory every route types the key
+    from the read's schema: Ray runs no feature UDF on no rows, so the
+    feature stage has no schema of its own."""
+    root = tmp_path / "pages"
+    root.mkdir()
+    pq.write_table(pa.table({
+        "url": pa.array([], pa.string()), "html": pa.array([], pa.binary()),
+        "text": pa.array([], pa.string()), "lang": pa.array([], pa.string()),
+    }), root / "part-000.parquet")
+    feats = flagship.prepare_features(
+        ray.data.read_parquet(str(root), columns=["html", "lang"]),
+        from_html=True)
+    digests = flagship.grouped_digests(feats)
+    assert digests.count() == 0
+    assert digests.schema().base_schema.field("lang").type == pa.string()
+    table = flagship.grouped_digests_table(feats)
+    assert table.num_rows == 0
+    assert table.schema.field("lang").type == pa.string()
+    summary = flagship.flagship(str(root))
+    assert summary.count() == 0
+    schema = summary.schema().base_schema
+    assert schema.field("lang").type == pa.string()
+    assert schema.field("text_len_p50").type == pa.float64()
+    assert schema.field("html_size_count").type == pa.int64()
+
+
 @pytest.mark.parametrize("null_first", [True, False])
 def test_streaming_part_write_unifies_block_schemas(tmp_path, null_first):
     """A block whose column is all null (null-typed) may come before or

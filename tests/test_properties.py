@@ -163,7 +163,7 @@ class _OracleTDigest(TDigest):
     per-pair ``add_weighted`` loop. The library must produce its bytes."""
 
     def add_weighted(self, values, counts):
-        cap = len(self._means)
+        cap = self._capacity()
         for v, c in zip(np.asarray(values, float).tolist(),
                         np.asarray(counts, np.int64).tolist()):
             remaining = c

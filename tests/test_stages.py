@@ -86,6 +86,36 @@ class TestTextStats:
         assert out.column("n_digit").to_pylist() == [2, 0]
         assert out.column("n_tokens").to_pylist() == [3, 3]
 
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.one_of(
+               st.none(), st.just(""), st.just(" "),
+               st.text(st.sampled_from(list("ab é日本 \t\u00a0")),
+                       max_size=12)), min_size=1, max_size=30),
+           cuts=st.lists(st.integers(0, 30), max_size=3),
+           offset=st.integers(0, 3), large=st.booleans())
+    def test_token_counts_match_count_substring(self, texts, cuts, offset,
+                                                large):
+        # n_tokens and the quality score are those of the substring count
+        # they replace, over nulls, "", multi-byte text, chunks and slices
+        typ = pa.large_string() if large else pa.string()
+        bounds = sorted({0, len(texts), *(c for c in cuts if c < len(texts))})
+        col = pa.chunked_array([pa.array(texts[a:b], typ)
+                                for a, b in zip(bounds, bounds[1:])], typ)
+        n = len(texts)
+        tbl = pa.table({"text": col, "doc_id": pa.array(range(n))})
+        tbl = tbl.slice(min(offset, n))
+        got = (textstats.add_text_counts(tbl).column("n_tokens"),
+               textstats.add_quality_score(tbl).column("quality_score"))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(textstats, "token_counts",
+                      lambda t: pc.add(pc.count_substring(t, " "), 1))
+            want = (textstats.add_text_counts(tbl).column("n_tokens"),
+                    textstats.add_quality_score(tbl).column("quality_score"))
+        assert got[0].type == pa.int64()
+        assert got[0].to_pylist() == want[0].to_pylist()
+        assert (np.asarray(got[1].to_pylist(), float).tobytes()
+                == np.asarray(want[1].to_pylist(), float).tobytes())
+
     def test_quality_score_range_and_order(self):
         good = "the cat sat on the mat and then it ran to the door again"
         bad = "zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz"
