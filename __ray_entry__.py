@@ -85,18 +85,26 @@ def entry() -> Any:
     from tdigest_ray.pipelines import flagship
 
     ds = _read(SF_SMALL, "documents", columns=["text", "lang"])
-    feats = flagship.prepare_features(ds, from_html=False)
-    digests = flagship.grouped_digests(
-        feats, features=("text_len", "token_count"), compression=100)
-    out = flagship.finalize_quantiles(
-        digests, features=("text_len", "token_count"),
-        percentiles=(0.5, 0.95, 0.99))
-    return out.to_pandas()
+    return flagship.flagship(ds, from_html=False).to_pandas()
 
 
 # ===================================================================== #
 # queries
 # ===================================================================== #
+
+def _digest_counts(key_col: str, digest_col: str) -> Callable:
+    """Batch fn: ``key_col`` and ``n``, each digest's exact total count
+    (0 for a null digest)."""
+    from tdigest_ray.functions import serde
+
+    def project(batch: pa.Table) -> pa.Table:
+        ns = [serde.digest_count(bytes(b)) if b is not None else 0
+              for b in batch.column(digest_col).to_pylist()]
+        return pa.table({key_col: batch.column(key_col),
+                         "n": pa.array(ns, pa.int64())})
+
+    return project
+
 
 def q_doc_stats(sf_dir: str):
     """Exact per-language text stats through the Arrow feature kernels."""
@@ -126,7 +134,6 @@ def q_tdigest_count_by_lang(sf_dir: str):
     """End-to-end digest pipeline; the digest's total count is exact through
     every partial/merge step — a strong invariant of the merge machinery."""
     from tdigest_ray.aggregates import TDigestAgg
-    from tdigest_ray.functions import serde
     from tdigest_ray.stages.features import add_features
 
     ds = _read(sf_dir, "documents", columns=["text", "lang"])
@@ -139,16 +146,8 @@ def q_tdigest_count_by_lang(sf_dir: str):
         .groupby("lang")
         .aggregate(TDigestAgg("text_len", 100, alias_name="dg"))
     )
-
-    def project(batch: pa.Table) -> pa.Table:
-        ns = [
-            serde.digest_count(bytes(b)) if b is not None else 0
-            for b in batch.column("dg").to_pylist()
-        ]
-        return pa.table({"lang": batch.column("lang"),
-                         "n": pa.array(ns, pa.int64())})
-
-    return digests.map_batches(project, batch_format="pyarrow")
+    return digests.map_batches(_digest_counts("lang", "dg"),
+                               batch_format="pyarrow")
 
 
 def q_exact_dedup(sf_dir: str):
@@ -647,20 +646,13 @@ def q_sliding_window(sf_dir: str):
     """Sliding windows (width 24h, slide 6h, epoch-aligned) over the events
     stream; per-window digest counts are exact (each event lands in exactly
     4 windows)."""
-    from tdigest_ray.functions import serde
     from tdigest_ray.stages.windows import windowed_digests
 
     ds = _read(sf_dir, "events", columns=["ts", "value"])
     digests = windowed_digests(ds, "ts", "value",
                                width_s=86_400, slide_s=21_600)
-
-    def project(batch: pa.Table) -> pa.Table:
-        ns = [serde.digest_count(bytes(b)) if b is not None else 0
-              for b in batch.column("value_digest").to_pylist()]
-        return pa.table({"window_start": batch.column("window_start"),
-                         "n": pa.array(ns, pa.int64())})
-
-    return digests.map_batches(project, batch_format="pyarrow")
+    return digests.map_batches(_digest_counts("window_start", "value_digest"),
+                               batch_format="pyarrow")
 
 
 def q_sample_users(sf_dir: str):
@@ -736,7 +728,6 @@ def q_window_digest(sf_dir: str):
     import pyarrow.compute as pc
 
     from tdigest_ray.aggregates import TDigestAgg
-    from tdigest_ray.functions import serde
 
     ds = _read(sf_dir, "events", columns=["ts", "value"])
 
@@ -749,14 +740,8 @@ def q_window_digest(sf_dir: str):
         .groupby("day")
         .aggregate(TDigestAgg("value", 100, alias_name="dg"))
     )
-
-    def project(batch: pa.Table) -> pa.Table:
-        ns = [serde.digest_count(bytes(b)) if b is not None else 0
-              for b in batch.column("dg").to_pylist()]
-        return pa.table({"day": batch.column("day"),
-                         "n": pa.array(ns, pa.int64())})
-
-    return digests.map_batches(project, batch_format="pyarrow")
+    return digests.map_batches(_digest_counts("day", "dg"),
+                               batch_format="pyarrow")
 
 
 def q_quality_filter(sf_dir: str):

@@ -546,16 +546,3 @@ class SampleFramesStage:
         batch = batch.append_column(
             "frame_means", pa.array(mean_lists, pa.list_(pa.float64())))
         return batch
-
-
-def decode_pipeline(ds, feature_dim: int = 64, concurrency=(2, 8),
-                    batch_size: int = 64):
-    """Canonical multimodal layout: small batches, actor pool, payload
-    dropped as soon as features are extracted."""
-    return ds.map_batches(
-        DecodeImageStage,
-        fn_constructor_kwargs={"feature_dim": feature_dim},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )

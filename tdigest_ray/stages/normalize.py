@@ -37,9 +37,9 @@ def group_digests(ds, value_col: str, group_col: str | None = None,
     ``None``."""
     if group_col is None:
         return {None: global_digest_tree(ds, value_col, compression)}
-    rows = grouped_digests_fast(ds, group_col, [value_col],
-                                compression).take_all()
-    return {r[group_col]: r[f"{value_col}_digest"] for r in rows}
+    out = grouped_digests_fast(ds, group_col, [value_col], compression)
+    return dict(zip(out.column(group_col).to_pylist(),
+                    out.column(f"{value_col}_digest").to_pylist()))
 
 
 def rank_normalize(ds, value_col: str, group_col: str | None = None,

@@ -13,8 +13,11 @@ merge state per group (the reference's one merge routine,
 
 :func:`grouped_digests_fast` composes the two into a fold tree: partials,
 then, only when they outnumber :func:`_merge_width` blocks, a coalesce to
-that many blocks and a fold per block, then one driver fold. Nothing sorts
-or shuffles by key, so a null key is an ordinary group.
+that many blocks and a fold per block, then one driver fold, whose
+``pa.Table`` it returns. Nothing sorts or shuffles by key, so a null key is
+an ordinary group. It is also where every grouped caller's requested value
+columns are checked (on the partial blocks, with no schema probe) and
+where an empty result gets its types.
 """
 
 from __future__ import annotations
@@ -86,15 +89,17 @@ def make_partial_digest_fn(key_cols: Sequence[str],
 
     Output columns: ``<key...>`` (the input's key types), then
     ``<value>_digest`` (binary; null where a group has no non-null
-    values). With no key columns the batch is one group."""
+    values) for each value col the batch holds. With no key columns the
+    batch is one group."""
     key_cols = list(key_cols)
     value_cols = list(value_cols)
 
     def fn(batch: pa.Table) -> pa.Table:
+        present = [c for c in value_cols if c in batch.column_names]
         tbl, starts, ends = _group_slices(
-            batch.select(key_cols + value_cols), key_cols)
+            batch.select(key_cols + present), key_cols)
         cols = {k: tbl.column(k).take(starts) for k in key_cols}
-        for c in value_cols:
+        for c in present:
             vals = tbl.column(c).to_numpy(zero_copy_only=False).astype(
                 np.float64, copy=False)
             cols[f"{c}_digest"] = pa.array(
@@ -113,7 +118,8 @@ def _merge_width() -> int:
     return min(common.cluster_cpus(), 64)
 
 
-def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
+def grouped_digests_fast(ds, key_cols, value_cols,
+                         compression: int = 100) -> pa.Table:
     """``tdigest(v, comp) GROUP BY keys`` as a fold tree: the one grouped
     digest rollup (flagship, ``windows.windowed_digests``,
     ``normalize.group_digests``, and :func:`global_digest_tree` with no
@@ -132,14 +138,20 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
     they are: a repartition and a fold task over so few rows cost more in
     Ray round trips than they save.
 
-    Executes ``ds`` and returns a one-block Dataset of ``<key...>,
-    <value>_digest`` (binary wire format), groups in key order; on an
-    input with no rows, ``ds.schema()`` types the empty keys. A null
-    key is one group of its own and comes out as null, as on every route
-    through the fold. The driver fetches and folds one block at a time
-    and sees at most :func:`_merge_width` rows per key, so a hot key
-    needs no salting; at high cardinality the driver fold is the serial
-    step (about width x keys rows).
+    Executes ``ds`` once and returns the driver's ``pa.Table`` of
+    ``<key...>, <value>_digest`` (binary wire format), groups in key
+    order, with a digest column for each requested value column that
+    ``ds`` holds (the partial blocks show which; ``ds`` is not probed for
+    its schema, which on a ``map_batches`` output re-runs its first
+    block). A request naming no existing column raises ``ValueError``.
+    Only an input with no rows asks ``ds.schema()`` (or, when that is
+    unknown, the source's schema) for the key types, and keeps the
+    requested value columns that schema holds, or all of them when it is
+    unknown. A null key is one group of its own and comes out as null.
+    The driver fetches and folds one block at a time and sees at most
+    :func:`_merge_width` rows per key, so a hot key needs no salting; at
+    high cardinality the driver fold is the serial step (about width x
+    keys rows).
     """
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = [value_cols] if isinstance(value_cols, str) else list(value_cols)
@@ -154,15 +166,39 @@ def grouped_digests_fast(ds, key_cols, value_cols, compression: int = 100):
     out = merge_partial_digest_table(
         (t for t in map(ray.get, common.block_refs(mid)) if t.num_rows),
         key_cols, value_cols)
-    if not out.num_rows and key_cols:  # no partial table typed the keys
-        schema = ds.schema() or common.source_schema(ds)
-        if schema is not None:
-            types = dict(zip(schema.names, schema.types))
-            out = pa.table({**{k: pa.array([], types.get(k, pa.null()))
-                               for k in key_cols},
-                            **{c: out.column(c) for c in out.column_names
-                               if c not in key_cols}})
-    return ray.data.from_arrow(out)
+    if not out.num_rows:
+        return _empty_rollup(ds, key_cols, value_cols)
+    if out.num_columns == len(key_cols):  # no requested column exists
+        _require(ds.schema(), value_cols)  # raises, naming the columns
+    return out
+
+
+def _require(schema, value_cols) -> list:
+    """The ``value_cols`` that ``schema`` holds; raises when it holds
+    none."""
+    names = schema.names if schema is not None else []
+    present = [c for c in value_cols if c in names]
+    if not present:
+        raise ValueError(
+            f"none of the requested features {tuple(value_cols)} exist in "
+            f"the dataset schema {tuple(names)}")
+    return present
+
+
+def _empty_rollup(ds, key_cols, value_cols) -> pa.Table:
+    """The 0-row result of :func:`grouped_digests_fast`: keys typed by
+    ``ds.schema()``, else by the source's schema (Ray runs no
+    ``map_batches`` UDF on no rows), null-typed where neither has them;
+    one binary ``<value>_digest`` per requested value column that
+    ``ds.schema()`` holds, or per requested one when it is unknown."""
+    schema = ds.schema()
+    if schema is not None:
+        value_cols = _require(schema, value_cols)
+    typed = schema or common.source_schema(ds)
+    types = dict(zip(typed.names, typed.types)) if typed is not None else {}
+    return pa.table(
+        {**{k: pa.array([], types.get(k, pa.null())) for k in key_cols},
+         **{f"{c}_digest": pa.array([], pa.binary()) for c in value_cols}})
 
 
 def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
@@ -178,7 +214,9 @@ def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
     promote_options="permissive")``: blobs merge in input order and the
     first one seeds the state (its compression wins). Groups come out in
     key order, null keys last and kept as null; a group with no non-null
-    digest gets a null digest."""
+    digest gets a null digest. A table without one of the digest columns
+    adds nothing to it, and a column no table holds is left out (with no
+    tables at all, every requested column is kept, empty)."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     value_cols = ([value_cols] if isinstance(value_cols, str)
                   else list(value_cols))
@@ -188,10 +226,13 @@ def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
     index = {}    # key tuple -> position in ``keys`` / ``accs``
     accs = []     # per group: one merge state (or None) per digest column
     keys = None   # the key columns of each group, in first-seen order
+    held = set()  # the digest columns some table holds
     for tbl in tables:
         tbl, starts, ends = _group_slices(tbl, key_cols)
         firsts = tbl.select(key_cols).take(starts)
-        blobs = [tbl.column(c).to_pylist() for c in digest_cols]
+        blobs = [tbl.column(c).to_pylist() if c in tbl.column_names
+                 else None for c in digest_cols]
+        held.update(c for c in digest_cols if c in tbl.column_names)
         rows = (zip(*(firsts.column(k).to_pylist() for k in key_cols))
                 if key_cols else [()] * len(starts))
         new = []
@@ -204,24 +245,27 @@ def merge_partial_digest_table(tables, key_cols, value_cols) -> pa.Table:
                 new.append(g)
             acc = accs[i]
             for j, col in enumerate(blobs):
-                acc[j] = serde.merge_blobs(col[s:e], acc[j])
+                if col is not None:
+                    acc[j] = serde.merge_blobs(col[s:e], acc[j])
         firsts = firsts.take(pa.array(new, pa.int64()))
         keys = (firsts if keys is None else pa.concat_tables(
             [keys, firsts], promote_options="permissive"))
     if keys is None:  # no tables at all
         keys = pa.table({k: pa.array([], pa.null()) for k in key_cols})
+        held = set(digest_cols)
     order = (pc.sort_indices(keys, [(k, "ascending") for k in key_cols])
              .to_numpy() if key_cols else np.arange(len(accs)))
     cols = {k: keys.column(k).take(order) for k in key_cols}
     for j, c in enumerate(digest_cols):
-        cols[c] = pa.array([_wire(accs[i][j]) for i in order.tolist()],
-                           pa.binary())
+        if c in held:
+            cols[c] = pa.array([_wire(accs[i][j]) for i in order.tolist()],
+                               pa.binary())
     return pa.table(cols)
 
 
 def global_digest_tree(ds, value_col: str, compression: int = 100):
     """``tdigest(v, comp)`` over the whole Dataset:
-    :func:`grouped_digests_fast` with no keys. Returns the merged digest (wire bytes), or None when
-    the input has no non-null value."""
-    rows = grouped_digests_fast(ds, [], [value_col], compression).take_all()
-    return rows[0][f"{value_col}_digest"] if rows else None
+    :func:`grouped_digests_fast` with no keys. Returns the merged digest
+    (wire bytes), or None when the input has no non-null value."""
+    out = grouped_digests_fast(ds, [], [value_col], compression)
+    return out.column(0)[0].as_py() if out.num_rows else None

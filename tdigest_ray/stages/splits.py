@@ -71,20 +71,3 @@ def add_split(ds, splits: dict | None = None, id_col: str = "doc_id",
         return batch.append_column(out_col, pa.array(out, pa.string()))
 
     return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def split_table(ds, splits: dict | None = None, id_col: str = "doc_id",
-                seed: int = 0) -> dict:
-    """{name: Dataset} of disjoint, exhaustive row subsets (each a
-    lazy filter over the assigned column)."""
-    splits = splits or {"train": 0.98, "val": 0.01, "test": 0.01}
-    tagged = add_split(ds, splits, id_col, seed)
-
-    def only(name):
-        def f(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-            return batch.filter(pc.equal(batch.column("split"), name))
-        return f
-
-    return {name: tagged.map_batches(only(name), batch_format="pyarrow")
-            for name in splits}

@@ -11,9 +11,9 @@ Vectorized per-batch transforms over a document/page text column:
   identifier, built as an actor-pool stage (profiles compiled once per actor
   in ``__init__``).
 * :func:`add_fingerprint` — deterministic 64-bit document fingerprint
-  (polynomial rolling hash over normalized text) for exact-duplicate
+  (``hash64_utf8`` over the Arrow string buffers) for exact-duplicate
   detection; fingerprint equality <=> text equality up to hash collisions
-  (~2^-61 per pair).
+  (~2^-64 per pair).
 """
 
 from __future__ import annotations
@@ -400,27 +400,3 @@ def add_fingerprint(batch: pa.Table, text_col: str = "text",
 
     fp = hash64_utf8(batch.column(text_col)).astype(np.int64)
     return batch.append_column(out_col, pa.array(fp, pa.int64()))
-
-
-def rolling_hashes(text: str, window: int = 16,
-                   base: int = 257, mod: int = (1 << 61) - 1) -> np.ndarray:
-    """Rabin-Karp rolling hashes of every ``window``-byte span — the
-    building block for content-defined fingerprint shingles. Vectorized as a
-    cumulative polynomial over the byte array."""
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    n = len(data)
-    if n < window:
-        return np.empty(0, dtype=np.uint64)
-    # prefix[i] = sum_{j<i} b_j * base^(i-1-j) mod p, computed iteratively
-    # in O(n) numpy ops via object-free int arithmetic per position is
-    # python-level; instead use the standard sliding recurrence.
-    out = np.empty(n - window + 1, dtype=np.uint64)
-    h = 0
-    power = pow(base, window - 1, mod)
-    for i in range(window):
-        h = (h * base + int(data[i])) % mod
-    out[0] = h
-    for i in range(window, n):
-        h = ((h - int(data[i - window]) * power) * base + int(data[i])) % mod
-        out[i - window + 1] = h
-    return out

@@ -19,6 +19,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
+
 
 _UNIT_DIVISOR = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
 
@@ -88,8 +90,10 @@ def windowed_digests(ds, ts_col: str, value_col: str, width_s: int,
                      slide_s: int | None = None, compression: int = 100,
                      unit: str = "s"):
     """Digest of ``value_col`` per (sliding or tumbling) window —
-    window assignment composed with the grouped digest fold tree.
-    ``unit`` applies to integer timestamp columns only."""
+    window assignment composed with the grouped digest fold tree — as a
+    one-block Dataset of ``window_start, <value_col>_digest``. ``unit``
+    applies to integer timestamp columns only; a ``value_col`` the input
+    lacks raises ``ValueError``."""
     from tdigest_ray.stages.partial import grouped_digests_fast
 
     if slide_s is None or slide_s == width_s:
@@ -97,5 +101,5 @@ def windowed_digests(ds, ts_col: str, value_col: str, width_s: int,
     else:
         fn = lambda b: assign_sliding(b, ts_col, width_s, slide_s, unit=unit)  # noqa: E731
     assigned = ds.map_batches(fn, batch_format="pyarrow")
-    return grouped_digests_fast(assigned, "window_start", [value_col],
-                                compression)
+    return ray.data.from_arrow(grouped_digests_fast(
+        assigned, "window_start", [value_col], compression))

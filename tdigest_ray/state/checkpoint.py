@@ -26,7 +26,7 @@ import pyarrow.parquet as pq
 
 import ray
 
-from tdigest_ray.stages.common import block_refs
+from tdigest_ray.stages.common import block_refs, cluster_cpus
 
 ENGINE_VERSION = "tdigest-ray-0.1"
 
@@ -75,10 +75,13 @@ def run_partition(input_file: str, ckpt_dir: str, digest_fn,
                   split_blocks: int = 1) -> str:
     """Process one input file -> grouped digest table -> checkpoint part.
 
-    ``digest_fn(ray.data.Dataset) -> Dataset`` computes the per-file grouped
-    digests (a small table: one row per group). Lineage is embedded in the
-    part's Parquet schema metadata. Writes are atomic (tmp + rename), so a
-    crashed run never leaves a half-written part that resume would trust.
+    ``digest_fn(ray.data.Dataset)`` computes the per-file grouped digests
+    (a small table: one row per group), as a ``pyarrow.Table`` (the
+    digest finish ``flagship.grouped_digests_table``, whose fold runs in
+    the driver) or as a Dataset (row-sized per-file results, such as the
+    signature store). Lineage is embedded in the part's Parquet schema
+    metadata. Writes are atomic (tmp + rename), so a crashed run never
+    leaves a half-written part that resume would trust.
 
     The read is split into ``split_blocks`` blocks at planning time
     (``override_num_blocks``; no repartition barrier), so the file's
@@ -86,14 +89,9 @@ def run_partition(input_file: str, ckpt_dir: str, digest_fn,
     that many cores. Each block costs fixed scheduling overhead, so the
     split should match the CPUs this file can actually use;
     ``run_with_checkpoints`` passes the cluster's CPUs per concurrent
-    file. ``1`` reads exactly one block. A Dataset result executes once
-    (``stages.common.block_refs``).
-
-    ``digest_fn`` may return a ``pyarrow.Table`` directly instead of a
-    Dataset — the driver-side finish for per-file tables that are tiny by
-    construction (#blocks x #groups digest rows), skipping the
-    coalesce + groupby barriers whose fixed cost dominates a per-file
-    pipeline (see ``flagship.grouped_digests_table``).
+    file. ``1`` reads exactly one block. A table is written as it is; a
+    Dataset result executes once (``stages.common.block_refs``) and
+    streams into the part one block at a time.
     """
     os.makedirs(ckpt_dir, exist_ok=True)
     t0 = time.perf_counter()
@@ -203,9 +201,8 @@ def run_with_checkpoints(input_files: list[str], ckpt_dir: str, digest_fn,
     if pending:
         if not ray.is_initialized():
             ray.init()  # as the first file's read would
-        cpus = int(ray.cluster_resources().get("CPU", 1))
         split_blocks = max(1, min(_MAX_SPLIT_BLOCKS,
-                                  cpus // max(1, max_concurrent)))
+                                  cluster_cpus() // max(1, max_concurrent)))
         workers = max(1, min(max_concurrent, len(pending)))
         with cf.ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {pool.submit(run_partition, f, ckpt_dir, digest_fn,

@@ -1,6 +1,7 @@
 """Sketch-driven rank normalization (stages/normalize.py)."""
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray
 
 from tdigest_ray.stages.normalize import group_digests, rank_normalize
@@ -29,6 +30,15 @@ class TestRankNormalize:
                    + np.searchsorted(sv, v, "right")) / (2 * len(v))
             assert (r >= 0).all() and (r <= 1).all()
             assert np.abs(r - mid).max() <= 0.02, g
+
+    @pytest.mark.parametrize("group_col", [None, "grp"])
+    def test_missing_value_column_raises(self, group_col):
+        """A value column the input lacks is refused with a ValueError
+        naming the columns, grouped or not."""
+        ds = ray.data.from_arrow(_events(100))
+        with pytest.raises(ValueError, match=r"none of the requested "
+                                             r"features \('nope',\)"):
+            rank_normalize(ds, "nope", group_col=group_col)
 
     def test_global_no_group(self):
         t = _events()

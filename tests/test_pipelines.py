@@ -84,7 +84,7 @@ class TestFlagship:
 
 class TestCheckpoint:
     def _digest_fn(self, ds):
-        return flagship.grouped_digests(
+        return flagship.grouped_digests_table(
             flagship.prepare_features(ds, from_html=True),
             features=("text_len",), compression=100)
 
@@ -399,48 +399,33 @@ class TestCuration:
 
 
 class TestGroupedDigestsTable:
-    """grouped_digests_table (r5 per-file checkpoint finisher) must be
-    interchangeable with the distributed grouped_digests finish."""
+    """grouped_digests_table (the per-file checkpoint finisher) is the
+    library's one grouped rollup, partials folded in the driver."""
 
-    def test_matches_distributed_finish(self, pages_dir):
-        import numpy as np
+    def test_matches_distributed_finish(self, pages_dir, monkeypatch):
+        """With no more partial blocks than the merge width, the result is
+        byte-identical to one in-process fold of the partial tables."""
         import ray
+        from ray.data import DataContext
 
-        ds = ray.data.read_parquet(pages_dir)
-        feats = flagship.prepare_features(ds, from_html=True)
+        from tdigest_ray.stages import partial
+
+        monkeypatch.setattr(DataContext.get_current().execution_options,
+                            "preserve_order", True)
+        feats = flagship.prepare_features(
+            ray.data.read_parquet(pages_dir, override_num_blocks=4),
+            from_html=True)
         tbl = flagship.grouped_digests_table(feats, compression=100)
-        dist = (flagship.grouped_digests(feats, compression=100)
-                .to_pandas().sort_values("lang").reset_index(drop=True))
-        got = tbl.to_pandas().sort_values("lang").reset_index(drop=True)
-        assert list(got.columns) == list(dist.columns)
-        assert got["lang"].tolist() == dist["lang"].tolist()
-        exact = feats.to_pandas()
-        for col in got.columns:
-            if not col.endswith("_digest"):
-                continue
-            feature = col[:-len("_digest")]
-            for lang, a, b in zip(got["lang"], got[col], dist[col]):
-                da, db = serde.from_bytes(bytes(a)), serde.from_bytes(bytes(b))
-                # identical row sets merged in different order: counts
-                # exact, medians inside the digest RANK-accuracy bound.
-                # Value-space tolerances don't work here: a 260-row group's
-                # median can sit on a wide value gap, so compare where each
-                # digest's median lands in the exact sorted data instead.
-                assert da.count == db.count
-                vals = np.sort(
-                    exact.loc[exact["lang"] == lang, feature]
-                    .to_numpy(dtype=np.float64))
-                n = len(vals)
-                assert da.count == n
-                for d in (da, db):
-                    m = d.quantile(0.5)
-                    # exact CDF at m is the interval [lo, hi] (ties make
-                    # it a step); the digest median must place 0.5 inside
-                    # it, widened by the compression-100 rank error.
-                    lo = np.searchsorted(vals, m, side="left") / n
-                    hi = np.searchsorted(vals, m, side="right") / n
-                    assert lo - 0.05 <= 0.5 <= hi + 0.05, (
-                        col, lang, m, lo, hi)
+        fn = partial.make_partial_digest_fn(
+            ["lang"], flagship.DEFAULT_FEATURES, 100)
+        parts = [fn(t) for t in map(ray.get, feats.materialize()
+                                    .to_arrow_refs())]
+        assert len(parts) == 4
+        want = partial.merge_partial_digest_table(
+            parts, ["lang"], flagship.DEFAULT_FEATURES)
+        assert tbl.column_names == ["lang", "text_len_digest",
+                                    "token_count_digest", "html_size_digest"]
+        assert tbl.equals(want)
 
     def test_counts_exact_vs_input(self, pages_dir):
         import ray
@@ -486,16 +471,6 @@ def test_grouped_digests_table_zero_rows(shape):
         assert out.schema.field("lang").type == pa.string()
 
 
-def test_grouped_digests_filtered_to_nothing():
-    """The distributed route accepts an input whose schema is unknown
-    because a filter dropped every row: 0 rows, typed digest columns."""
-    ds = _tiny_features().filter(lambda r: False)
-    out = flagship.grouped_digests(ds, features=("text_len", "html_size"))
-    assert out.count() == 0
-    assert out.schema().names == ["lang", "text_len_digest",
-                                  "html_size_digest"]
-
-
 def test_zero_row_parquet_keeps_the_key_type(tmp_path):
     """Over a one-file, zero-row pages directory every route types the key
     from the read's schema: Ray runs no feature UDF on no rows, so the
@@ -509,9 +484,6 @@ def test_zero_row_parquet_keeps_the_key_type(tmp_path):
     feats = flagship.prepare_features(
         ray.data.read_parquet(str(root), columns=["html", "lang"]),
         from_html=True)
-    digests = flagship.grouped_digests(feats)
-    assert digests.count() == 0
-    assert digests.schema().base_schema.field("lang").type == pa.string()
     table = flagship.grouped_digests_table(feats)
     assert table.num_rows == 0
     assert table.schema.field("lang").type == pa.string()
@@ -676,16 +648,88 @@ def test_flagship_reads_one_block_per_cpu(pages_dir, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("unknown_schema", [False, True])
-@pytest.mark.parametrize("route", ["grouped_digests_table", "grouped_digests"])
+@pytest.mark.parametrize("route", ["grouped_digests_table",
+                                   "grouped_digests_fast"])
 def test_no_requested_feature_raises(route, unknown_schema):
     """A request naming no existing column is refused, whether the
-    schema is known up front or only once the pipeline has run."""
+    schema is known up front or only once the pipeline has run, by the
+    flagship's finisher and by the rollup under it."""
+    from tdigest_ray.stages.partial import grouped_digests_fast
+
     ds = _tiny_features()
     if unknown_schema:
         ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
     with pytest.raises(ValueError,
                        match=r"none of the requested features \('nope',\)"):
-        getattr(flagship, route)(ds, features=("nope",))
+        if route == "grouped_digests_table":
+            flagship.grouped_digests_table(ds, features=("nope",))
+        else:
+            grouped_digests_fast(ds, "lang", ("nope",))
+
+
+@pytest.mark.parametrize("width", [1, 64])
+def test_text_only_read_keeps_the_features_it_has(pages_dir, monkeypatch,
+                                                  materialized, width):
+    """A text-only read asked for the default three features digests the
+    two it has, whether the partial blocks (4) fold in the driver or
+    first through the coalesce level (merge width 1), with exact
+    per-language counts."""
+    from tdigest_ray.stages import partial
+
+    monkeypatch.setattr(partial, "_merge_width", lambda: width)
+    read = ray.data.read_parquet(pages_dir, columns=["text", "lang"],
+                                 override_num_blocks=4)
+    tbl = flagship.grouped_digests_table(
+        flagship.prepare_features(read, from_html=False))
+    assert tbl.column_names == ["lang", "text_len_digest",
+                                "token_count_digest"]
+    coalesced = any("Repartition" in _plan_names(ds) for ds in materialized)
+    assert coalesced == (width < 4)
+    want = pq.read_table(pages_dir, columns=["lang"]).to_pandas()[
+        "lang"].value_counts().to_dict()
+    for col in ("text_len_digest", "token_count_digest"):
+        got = {r["lang"]: serde.digest_count(r[col]) for r in tbl.to_pylist()}
+        assert got == want
+
+
+@pytest.mark.parametrize("width", [1, 64])
+def test_flagship_on_dataset_executes_once(pages_dir, tmp_path, monkeypatch,
+                                           width):
+    """``flagship()`` on a Dataset (``__ray_entry__.entry()``'s route)
+    runs the feature UDF exactly as often as one execution of the feature
+    stage, with the coalesce level (merge width 1) or without it: no
+    ``limit(1)`` schema probe runs before or after the rollup."""
+    from tdigest_ray.stages import partial
+
+    monkeypatch.setattr(partial, "_merge_width", lambda: width)
+    log = str(tmp_path / "calls")
+    monkeypatch.setattr(flagship, "add_features",
+                        _counting(log, flagship.add_features))
+    read = ray.data.read_parquet(pages_dir, columns=["text", "lang"],
+                                 override_num_blocks=4)
+    flagship.prepare_features(read, from_html=False).materialize()
+    once = _calls(log)
+    assert once >= 4
+    out = flagship.flagship(read, from_html=False).to_pandas()
+    assert _calls(log) == 2 * once
+    assert list(out.columns) == [
+        "lang", *(f"{f}_{s}" for f in ("text_len", "token_count")
+                  for s in ("p50", "p95", "p99", "count"))]
+
+
+@pytest.mark.parametrize("percentiles", [[0.99, 0.994], [0.5, 0.504, 0.9]])
+def test_colliding_percentiles_raise(pages_dir, percentiles):
+    """Distinct percentiles that round to one ``p{NN}`` column are
+    refused up front instead of one answer overwriting the other."""
+    digests = ray.data.from_arrow(flagship.grouped_digests_table(
+        _tiny_features(), features=("text_len",)))
+    clash = r"percentiles \[%s, %s\]" % tuple(
+        str(p).replace(".", r"\.") for p in percentiles[:2])
+    with pytest.raises(ValueError, match=clash):
+        flagship.finalize_quantiles(digests, features=("text_len",),
+                                    percentiles=percentiles)
+    with pytest.raises(ValueError, match=clash):
+        flagship.flagship(pages_dir, percentiles=percentiles)
 
 
 def test_default_split_ignores_pending_count(pages_dir, tmp_path):

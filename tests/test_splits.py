@@ -52,10 +52,9 @@ class TestAddSplit:
         assert 0.95 < frac < 1.0  # ~98%
 
     def test_split_table_partition(self):
-        parts = splits.split_table(self._ds(), seed=3)
-        ids = {}
-        for name, sub in parts.items():
-            ids[name] = set(sub.to_pandas()["doc_id"])
+        df = splits.add_split(self._ds(), seed=3).to_pandas()
+        ids = {name: set(df.loc[df["split"] == name, "doc_id"])
+               for name in ("train", "val", "test")}
         allids = set()
         for s in ids.values():
             assert not (allids & s)  # disjoint

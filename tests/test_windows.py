@@ -59,6 +59,15 @@ def test_windowed_digests_counts(event_batch):
     assert counts.max() == 8
 
 
+def test_windowed_digests_missing_value_column_raises(event_batch):
+    """A value column the input lacks is refused by the rollup with a
+    ValueError naming the columns, not a KeyError inside a Ray task."""
+    ds = ray.data.from_arrow(event_batch)
+    with pytest.raises(ValueError, match=r"none of the requested features "
+                                         r"\('nope',\)"):
+        windows.windowed_digests(ds, "ts", "nope", 86_400)
+
+
 def test_epoch_seconds_unit_independent(event_batch):
     """ADVICE r1: ns/ms/s-typed timestamp columns must window identically
     to the us-typed column (divisor derived from the Arrow unit)."""
